@@ -4,7 +4,7 @@ PYTHON ?= python
 
 .PHONY: install test test-faults test-chaos test-telemetry \
         test-versioning test-shard test-live test-wal bench bench-kernel \
-        bench-shard bench-full figures figures-paper examples clean
+        bench-shard bench-e2e bench-full figures figures-paper examples clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -107,6 +107,20 @@ bench-shard:
 	$(PYTHON) -m pytest benchmarks/bench_shard.py --benchmark-only \
 	  -p no:randomly --benchmark-json=BENCH_shard.json
 	cp BENCH_shard.json benchmarks/results/BENCH_shard.json
+
+# End-to-end and per-layer benchmark: one untraced run of every workload
+# BENCHMARK.json declares, for its declared run_seconds, each through the
+# correctness gate (golden digests, §4.2.1 identity, live audit); then
+# the gate's self-test.  Traced runs: add --trace 1 by hand.
+BENCH_WORKLOADS = $(shell python3 -c "import json; print(' '.join(w['name'] for w in json.load(open('BENCHMARK.json'))['workloads']))")
+BENCH_SECONDS = $(shell python3 -c "import json; print(json.load(open('BENCHMARK.json'))['run_seconds'])")
+
+bench-e2e:
+	for w in $(BENCH_WORKLOADS); do \
+	  python3 perfbench/run.py --workload $$w --seconds $(BENCH_SECONDS) \
+	    || exit 1; \
+	done
+	python3 perfbench/selftest.py
 
 # Full paper sweeps under the default stopping rule.
 bench-full:

@@ -59,7 +59,11 @@ from typing import Any, Dict, List, Optional, Set, Tuple
 from repro.core.locking import LockManager
 from repro.core.moveblock import MoveBlock
 from repro.errors import ConnectionLostError, TimeoutError, TransportClosedError
-from repro.runtime.live.transport import AsyncioTransport, FaultyTransport
+from repro.runtime.live.transport import (
+    AsyncioTransport,
+    FaultyTransport,
+    deliver_notice,
+)
 from repro.runtime.live.wal import TRANSFER_BAND, TransferLogEntry
 from repro.runtime.live.wire import (
     BREAK_HOMED,
@@ -208,6 +212,7 @@ class LiveNodeWorker:
         orphan_grace: float = 0.0,
         telemetry_dir: Optional[str] = None,
         flight_capacity: int = 512,
+        notice_budget: float = 10.0,
     ):
         self.node_id = node_id
         self.transport = AsyncioTransport(
@@ -256,6 +261,9 @@ class LiveNodeWorker:
         self.in_transit: Dict[int, LiveObject] = {}
         self.heartbeat_interval = heartbeat_interval
         self.request_timeout = request_timeout
+        #: Seconds a home keeps re-sending a settlement notice (the
+        #: supervisor's drain budget).
+        self.notice_budget = notice_budget
         self.orphan_grace = orphan_grace
         self.rng = random.Random(rng_seed)
         self.stats = WorkerStats()
@@ -710,9 +718,10 @@ class LiveNodeWorker:
             )
             # Mirror the commit to the supervisor's WAL so a dead
             # home's slice can be reassigned from durable ownership
-            # records.  Fire-and-forget: the supervisor may itself be
-            # mid-recovery; a lost notice only widens the inventory
-            # reconciliation it must do anyway.
+            # records.  One attempt only: a late re-send could land
+            # after the mirror of a newer move and overwrite it.  The
+            # supervisor may itself be mid-recovery; a lost notice only
+            # widens the inventory reconciliation it must do anyway.
             self._notify(
                 SUPERVISOR,
                 PLACE_NOTICE,
@@ -722,6 +731,7 @@ class LiveNodeWorker:
                     "node": transfer.dst,
                 },
                 trace=envelope.trace,
+                budget=0.0,
             )
         if self.telemetry.enabled:
             self.telemetry.end_span(
@@ -827,22 +837,27 @@ class LiveNodeWorker:
         kind: str,
         payload: Dict[str, Any],
         trace: Optional[Tuple[int, int]] = None,
+        budget: Optional[float] = None,
     ) -> None:
-        """Fire-and-forget settlement/mirror notice to a peer."""
+        """Fire-and-forget settlement/mirror notice to a peer.
 
-        async def deliver():
-            try:
-                await self.transport.request(
-                    node,
-                    kind,
-                    payload,
-                    timeout=self.request_timeout,
-                    trace=trace,
-                )
-            except Exception:
-                pass  # dead peer: its state is re-seeded/reconciled anyway
-
-        task = asyncio.ensure_future(deliver())
+        Settlement notices retry for ``notice_budget`` seconds (unless
+        ``budget`` overrides it), as the central supervisor's do (see
+        :func:`~repro.runtime.live.transport.deliver_notice`); a dead
+        peer's state is re-seeded and reconciled anyway.
+        """
+        task = asyncio.ensure_future(
+            deliver_notice(
+                self.transport,
+                self.transport.clock,
+                node,
+                kind,
+                payload,
+                timeout=self.request_timeout,
+                budget=self.notice_budget if budget is None else budget,
+                trace=trace,
+            )
+        )
         self._notices.add(task)
         task.add_done_callback(self._notices.discard)
 
@@ -1084,6 +1099,7 @@ def worker_main(
     lease_duration: float = 5.0,
     orphan_grace: float = 0.0,
     telemetry_dir: Optional[str] = None,
+    notice_budget: float = 10.0,
 ) -> None:
     """``multiprocessing`` spawn target: run one worker to completion."""
     worker = LiveNodeWorker(
@@ -1100,6 +1116,7 @@ def worker_main(
         lease_duration=lease_duration,
         orphan_grace=orphan_grace,
         telemetry_dir=telemetry_dir,
+        notice_budget=notice_budget,
     )
     try:
         asyncio.run(worker.run())

@@ -79,7 +79,11 @@ from repro.runtime.clock import WallClock
 from repro.runtime.failure import HeartbeatHistory
 from repro.runtime.live import wal as wal_module
 from repro.runtime.live.node import LiveObject, worker_main
-from repro.runtime.live.transport import AsyncioTransport, unix_supported
+from repro.runtime.live.transport import (
+    AsyncioTransport,
+    deliver_notice,
+    unix_supported,
+)
 from repro.runtime.live.wal import TRANSFER_BAND, ArbitrationWal
 from repro.runtime.live.wire import (
     BREAK_HOMED,
@@ -446,6 +450,7 @@ class NodeSupervisor:
                 self.config.lease_duration,
                 self.config.orphan_grace,
                 self.config.telemetry_dir,
+                self.config.drain_timeout,
             ),
             # Non-daemon: workers must survive a supervisor SIGKILL so
             # the recovered incarnation has a fleet to re-adopt.
@@ -690,36 +695,26 @@ class NodeSupervisor:
     def _notify(self, node: int, kind: str, transfer: Transfer) -> None:
         """Fire-and-forget settlement notice to a transfer's source.
 
-        EVICT/RESTORE are idempotent (a pop keyed by transfer id), so
-        the notice retries until delivered or the drain budget runs
-        out: a single timeout under load must not leak the source's
-        held-back copy.  A crashed source is the one acceptable drop —
-        its respawn is re-seeded from the placement map anyway.
+        Retried until delivered or the drain budget runs out (see
+        :func:`~repro.runtime.live.transport.deliver_notice`).  A
+        crashed source is the one acceptable drop — its respawn is
+        re-seeded from the placement map anyway.
         """
-
-        async def deliver():
-            deadline = self.clock.deadline(self.config.drain_timeout)
-            while True:
-                try:
-                    await self.transport.request(
-                        node,
-                        kind,
-                        {
-                            "transfer_id": transfer.transfer_id,
-                            "object_id": transfer.object_id,
-                        },
-                        timeout=self.config.request_timeout,
-                        trace=transfer.trace,
-                    )
-                    return
-                except (TimeoutError, ConnectionLostError):
-                    if self.clock.expired(deadline):
-                        return
-                    await asyncio.sleep(0.1)
-                except Exception:
-                    return
-
-        task = asyncio.ensure_future(deliver())
+        task = asyncio.ensure_future(
+            deliver_notice(
+                self.transport,
+                self.clock,
+                node,
+                kind,
+                {
+                    "transfer_id": transfer.transfer_id,
+                    "object_id": transfer.object_id,
+                },
+                timeout=self.config.request_timeout,
+                budget=self.config.drain_timeout,
+                trace=transfer.trace,
+            )
+        )
         self._settlements.add(task)
         task.add_done_callback(self._settlements.discard)
 

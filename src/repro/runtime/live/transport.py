@@ -581,10 +581,52 @@ class FaultyTransport:
         )
 
 
+#: Seconds between re-sends of an unacknowledged settlement notice.
+NOTICE_RETRY_PAUSE = 0.1
+
+
+async def deliver_notice(
+    transport,
+    clock: Clock,
+    node: int,
+    kind: str,
+    payload: Dict[str, Any],
+    *,
+    timeout: float,
+    budget: float,
+    trace: Optional[Tuple[int, int]] = None,
+) -> bool:
+    """Deliver one settlement notice, retrying until it is acknowledged.
+
+    EVICT/RESTORE are idempotent (a pop keyed by transfer id), so a
+    notice is re-sent after every timeout or lost connection until the
+    peer replies or ``budget`` seconds have passed: one timeout under
+    load must not leak the source's held-back copy.  ``budget=0`` makes
+    a single attempt.  Any other error (a closed transport, a crashed
+    peer's respawn being re-seeded anyway) ends delivery.  Returns
+    whether the peer acknowledged.  Both arbitration modes — the
+    central supervisor and the home nodes — send through this helper.
+    """
+    deadline = clock.deadline(budget)
+    while True:
+        try:
+            await transport.request(
+                node, kind, payload, timeout=timeout, trace=trace
+            )
+            return True
+        except (TimeoutError, ConnectionLostError):
+            if clock.expired(deadline):
+                return False
+            await asyncio.sleep(NOTICE_RETRY_PAUSE)
+        except Exception:
+            return False
+
+
 __all__ = [
     "Address",
     "AsyncioTransport",
     "DEFAULT_CONNECT_RETRY",
     "FaultyTransport",
+    "deliver_notice",
     "unix_supported",
 ]

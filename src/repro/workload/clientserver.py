@@ -158,13 +158,14 @@ class ClientServerWorkload:
 
     def _block_body(self, client: DistributedObject, block: MoveBlock, plan):
         """Process fragment: the N invocations of one block."""
+        env = self.system.env
+        invoke = self.system.invocations.invoke
+        record_call = block.record_call
         for gap in plan.intercall_times:
             if gap > 0:
-                yield self.system.env.sleep(gap)
-            result = yield from self.system.invocations.invoke(
-                client.node_id, block.target
-            )
-            block.record_call(result.duration)
+                yield env.sleep(gap)
+            result = yield from invoke(client.node_id, block.target)
+            record_call(result.duration)
 
     def _make_block(
         self, client: DistributedObject, target: DistributedObject

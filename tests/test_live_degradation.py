@@ -21,13 +21,25 @@ from repro.core.moveblock import MoveBlock
 from repro.errors import PolicyError
 from repro.runtime.clock import WallClock
 from repro.runtime.failure import HeartbeatHistory
-from repro.runtime.live.node import LiveObject
+from repro.runtime.live.node import LiveNodeWorker, LiveObject
 from repro.runtime.live.supervisor import (
     NodeSupervisor,
     SupervisorConfig,
     Transfer,
 )
-from repro.runtime.live.wire import Envelope
+from repro.runtime.live.transport import (
+    AsyncioTransport,
+    FaultyTransport,
+    unix_supported,
+)
+from repro.runtime.live.wire import (
+    EVICT,
+    HOME_ASSIGN,
+    HOME_MAP,
+    INVENTORY,
+    SUPERVISOR,
+    Envelope,
+)
 
 
 class TestPhiUnderDelaySpikes:
@@ -238,3 +250,105 @@ class TestTransferFence:
         asyncio.run(supervisor._serve_rollback(envelope))
         _, payload = supervisor.transport.replies[-1]
         assert payload == {"ok": False}, "rollback after commit is void"
+
+
+class _DropFirstEvict(FaultyTransport):
+    """Data-plane filter that loses the first EVICT notice it sees."""
+
+    def plan(self, envelope):
+        if envelope.kind == EVICT and not self.injected_drops:
+            self.injected_drops += 1
+            return []
+        return super().plan(envelope)
+
+
+class TestHomeSettlementNotices:
+    """A home-granted transfer's lost EVICT must be re-sent.
+
+    Three in-process workers under home arbitration: node 0 is home for
+    the only slice, node 1 moves object 0 away from node 2.  The home's
+    first EVICT after the PLACE commit is dropped on the wire; the
+    source must still release its held-back copy, and the supervisor's
+    hosted-exactly-once audit must pass on the workers' inventories.
+    """
+
+    PLACEMENT = {0: 2, 1: 0, 2: 1}
+
+    async def scenario(self, tmp_path):
+        nodes = (SUPERVISOR, 0, 1, 2)
+        if unix_supported():
+            peers = {
+                n: ("unix", str(tmp_path / f"n{n + 1}.sock")) for n in nodes
+            }
+        else:  # pragma: no cover - platform without Unix sockets
+            peers = {n: ("tcp", "127.0.0.1", 42100 + n) for n in nodes}
+        workers = {
+            n: LiveNodeWorker(
+                n,
+                peers[n],
+                peers,
+                [
+                    LiveObject(oid).state()
+                    for oid, where in self.PLACEMENT.items()
+                    if where == n
+                ],
+                request_timeout=0.5,
+                arbitration="home",
+                num_slices=1,
+            )
+            for n in (0, 1, 2)
+        }
+        home = workers[0]
+        dropper = _DropFirstEvict(home.transport)
+        control = AsyncioTransport(SUPERVISOR, peers[SUPERVISOR], peers)
+
+        async def acknowledge(envelope):  # PLACE_NOTICE mirrors
+            await control.reply(envelope, {"ok": True})
+
+        control.handler = acknowledge
+        await control.start()
+        for worker in workers.values():
+            worker.transport.handler = worker.handle
+            await worker.transport.start()
+        try:
+            await control.request(
+                0, HOME_ASSIGN, {"slices": [0], "placement": self.PLACEMENT}
+            )
+            for n in (0, 1, 2):
+                await control.request(
+                    n, HOME_MAP, {"map": {0: 0}, "num_slices": 1}
+                )
+            await workers[1]._move_block(0, invokes=2)
+            assert workers[1].stats.migrations == 1
+            assert dropper.injected_drops == 1
+            # Let the settlement notices run their course.
+            for _ in range(100):
+                if not home._notices:
+                    break
+                await asyncio.sleep(0.05)
+            inventories = {}
+            for n in (0, 1, 2):
+                reply = await control.request(n, INVENTORY, timeout=2.0)
+                inventories[n] = reply.payload
+            return workers, inventories
+        finally:
+            for worker in workers.values():
+                await worker.transport.close()
+            await control.close()
+
+    def test_lost_evict_is_retried_until_the_copy_is_released(
+        self, tmp_path
+    ):
+        workers, inventories = asyncio.run(
+            asyncio.wait_for(self.scenario(tmp_path), 30.0)
+        )
+        assert workers[2].in_transit == {}, "held-back copy leaked"
+        assert inventories[2]["in_transit"] == []
+        audit = NodeSupervisor(
+            SupervisorConfig(
+                num_nodes=3, num_objects=3, socket_dir=str(tmp_path)
+            )
+        )
+        audit.placement = dict(workers[0].home_placement)
+        assert audit.placement[0] == 1
+        assert audit._audit(inventories) == []

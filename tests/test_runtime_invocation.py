@@ -1,10 +1,18 @@
 """Unit tests for the invocation service (deterministic latency)."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro.experiments.figures import FIG12_BASE
+from repro.network.faults import LinkFaultModel
 from repro.network.latency import DeterministicLatency
+from repro.runtime.locator import ImmediateUpdateLocator, NameServerLocator
 from repro.runtime.system import DistributedSystem
+from repro.sim.stopping import StoppingConfig
 from repro.sim.trace import Tracer
+from repro.workload.clientserver import ClientServerWorkload
 
 
 @pytest.fixture
@@ -136,3 +144,83 @@ class TestNestedInvocation:
 
         result = run_invocation(system, 0, outer, body=body)
         assert result.duration == pytest.approx(2.0)
+
+
+class _AlwaysUp:
+    """Liveness provider that never reports a node down."""
+
+    def is_down(self, node_id):
+        return False
+
+    def wait_until_up(self, node_id):  # pragma: no cover - never parked
+        raise AssertionError("an always-up node never parks a request")
+        yield
+
+
+#: A Fig 12 hot-spot cell, small enough for the unit suite.
+FIG12_CELL = FIG12_BASE.with_overrides(clients=12, policy="placement", seed=5)
+CELL_STOPPING = StoppingConfig(
+    relative_precision=0.3,
+    confidence=0.9,
+    batch_size=50,
+    warmup=50,
+    min_batches=2,
+    max_observations=1_500,
+)
+
+
+def _run_cell(params, harden=False):
+    """Run one cell; ``harden`` wires in the idle fault and liveness
+    branches of the invocation path."""
+    workload = ClientServerWorkload(params, stopping=CELL_STOPPING)
+    if harden:
+        workload.system.network.install_faults(LinkFaultModel())
+        workload.system.invocations.liveness = _AlwaysUp()
+    result = workload.run()
+    digest = hashlib.sha256(
+        json.dumps(
+            {
+                "mean_communication_time_per_call": (
+                    result.mean_communication_time_per_call
+                ),
+                "mean_call_duration": result.mean_call_duration,
+                "mean_migration_time_per_call": (
+                    result.mean_migration_time_per_call
+                ),
+                "simulated_time": result.simulated_time,
+                "raw": result.raw,
+                "invocations": workload.system.invocations.stats(),
+            },
+            sort_keys=True,
+        ).encode()
+    ).hexdigest()
+    return digest, workload
+
+
+class TestFaultBranchEquivalence:
+    """The fault, retry and liveness branches share the call's one
+    generator; wired in but idle, they must not change a single event
+    or draw."""
+
+    def test_idle_fault_model_and_liveness_are_bit_identical(self):
+        plain_digest, plain = _run_cell(FIG12_CELL)
+        hard_digest, hard = _run_cell(FIG12_CELL, harden=True)
+        assert plain.system.invocations.durations.count > 0
+        assert hard_digest == plain_digest
+        assert (
+            hard.system.env.scheduled_events
+            == plain.system.env.scheduled_events
+        )
+        assert hard.system.invocations.retries == 0
+        assert hard.system.invocations.executions_on_crashed == 0
+
+    def test_nameserver_cell_still_pays_for_lookups(self):
+        _, immediate = _run_cell(FIG12_CELL)
+        _, named = _run_cell(FIG12_CELL.with_overrides(locator="nameserver"))
+        assert type(immediate.system.invocations.locator) is (
+            ImmediateUpdateLocator
+        )
+        assert immediate.system.invocations.locator.lookup_messages == 0
+        locator = named.system.invocations.locator
+        assert isinstance(locator, NameServerLocator)
+        assert locator.lookup_messages > 0

@@ -1,7 +1,12 @@
 """Unit tests for the named random-stream factory."""
 
+import pickle
+import zlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.rng import RandomStreams, Stream
 
@@ -94,3 +99,137 @@ class TestStreamDraws:
         stream.shuffle(items)
         assert sorted(items) == original
         assert items != original  # vanishingly unlikely to be identity
+
+
+# -- the buffered exponential path against an unbuffered reference -----------
+
+def _reference_exponential(ref, mean):
+    """What ``Stream.exponential`` must return for a plain Generator."""
+    if mean < 0:
+        raise ValueError(mean)
+    return 0.0 if mean == 0 else float(ref.exponential(mean))
+
+
+#: Public ``Stream`` method -> (argument strategy, reference draw).
+_REFERENCE = {
+    "exponential": (
+        st.sampled_from([0.0, -1.0, 0.37, 1.0, 6.0, 1e-3]),
+        _reference_exponential,
+    ),
+    "uniform": (
+        st.sampled_from([(0.0, 1.0), (2.0, 5.0), (-3.0, -1.0)]),
+        lambda ref, a: float(ref.uniform(*a)),
+    ),
+    "integer": (
+        st.sampled_from([(0, 3), (5, 6), (-10, 10)]),
+        lambda ref, a: int(ref.integers(*a)),
+    ),
+    "choice": (
+        st.sampled_from([(), ("a",), ("a", "b", "c")]),
+        lambda ref, seq: _reference_choice(ref, seq),
+    ),
+    "shuffle": (
+        st.integers(0, 12),
+        lambda ref, n: _reference_shuffle(ref, n),
+    ),
+    "poisson_count": (
+        st.sampled_from([0.0, 0.5, 4.0]),
+        lambda ref, mean: int(ref.poisson(mean)),
+    ),
+    "geometric_at_least_one": (
+        st.sampled_from([0.0, 0.01, 6.0, 8.0]),
+        lambda ref, mean: max(
+            1, int(round(_reference_exponential(ref, mean)))
+        ),
+    ),
+}
+
+
+def _reference_choice(ref, seq):
+    if len(seq) == 0:
+        raise ValueError("empty")
+    return seq[int(ref.integers(0, len(seq)))]
+
+
+def _reference_shuffle(ref, n):
+    items = list(range(n))
+    ref.shuffle(items)
+    return items
+
+
+def _stream_call(stream, method, arg):
+    if method in ("uniform", "integer"):
+        return getattr(stream, method)(*arg)
+    if method == "shuffle":
+        items = list(range(arg))
+        stream.shuffle(items)
+        return items
+    return getattr(stream, method)(arg)
+
+
+_STEP = st.one_of(
+    *(
+        st.tuples(st.just(name), args, st.integers(1, 70))
+        for name, (args, _) in sorted(_REFERENCE.items())
+    ),
+    st.tuples(st.just("pickle"), st.none(), st.just(1)),
+)
+
+
+class TestBufferedStreamEqualsReference:
+    """Any interleaving of draws equals a plain numpy Generator's."""
+
+    def test_reference_covers_every_public_method(self):
+        public = {
+            name
+            for name, attr in vars(Stream).items()
+            if not name.startswith("_") and callable(attr)
+        }
+        assert public == set(_REFERENCE)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        steps=st.lists(_STEP, min_size=1, max_size=30),
+    )
+    def test_any_interleaving_matches(self, seed, steps):
+        stream = Stream("s", np.random.default_rng(seed))
+        ref = np.random.default_rng(seed)
+        for method, arg, repeat in steps:
+            if method == "pickle":
+                stream = pickle.loads(pickle.dumps(stream))
+                continue
+            reference = _REFERENCE[method][1]
+            for _ in range(repeat):
+                try:
+                    expected = reference(ref, arg)
+                except ValueError:
+                    with pytest.raises(ValueError):
+                        _stream_call(stream, method, arg)
+                    continue
+                got = _stream_call(stream, method, arg)
+                assert got == expected
+                assert type(got) is type(expected)
+        # Both generators end in the same place, whatever was buffered.
+        assert stream.uniform() == float(ref.uniform())
+
+    def test_pickle_mid_buffer_continues_the_sequence(self):
+        stream = RandomStreams(3).stream("p")
+        ref = RandomStreams(3).stream("p")
+        head = [stream.exponential(1.0) for _ in range(10)]
+        clone = pickle.loads(pickle.dumps(stream))
+        assert head == [ref.exponential(1.0) for _ in range(10)]
+        tail = [ref.exponential(1.0) for _ in range(100)]
+        assert [clone.exponential(1.0) for _ in range(100)] == tail
+        assert [stream.exponential(1.0) for _ in range(100)] == tail
+
+    def test_zero_and_negative_means_consume_nothing(self):
+        stream = RandomStreams(4).stream("z")
+        ref = np.random.default_rng(np.random.SeedSequence([4, zlib.crc32(b"z")]))
+        stream.exponential(1.0)
+        ref.exponential(1.0)
+        assert stream.exponential(0) == 0.0
+        with pytest.raises(ValueError):
+            stream.exponential(-0.5)
+        assert stream.integer(0, 1000) == int(ref.integers(0, 1000))
+        assert stream.exponential(2.0) == float(ref.exponential(2.0))
