@@ -60,7 +60,8 @@ test-shard:
 
 # The live runtime backend: Clock/Transport seam contracts, framing
 # and dedup, the asyncio transport over real sockets (fault injection
-# included), graceful degradation under delay spikes/crashes, and the
+# included), graceful degradation under delay spikes/crashes, the
+# sans-IO place-policy arbiter both arbitration modes host, and the
 # bounded multi-process smoke (3 OS processes, 1 crash + 1 partition,
 # hard wall-clock watchdog).  Writes the sim-vs-measured report to
 # live_report.json (the CI artifact).
@@ -70,20 +71,22 @@ test-live:
 	  tests/test_runtime_clock.py tests/test_live_framing.py \
 	  tests/test_live_transport.py tests/test_live_degradation.py \
 	  tests/test_live_supervisor.py tests/test_prop_retry.py \
-	  tests/test_live_telemetry.py tests/test_errors_pickle.py
+	  tests/test_live_telemetry.py tests/test_errors_pickle.py \
+	  tests/test_live_arbiter.py
 	PYTHONPATH=src $(PYTHON) -m repro.experiments.cli live --fast \
 	  --json live_report.json
 
 # The crash-tolerant control plane: WAL format/replay unit tests, the
 # hypothesis property suite (prefix-replay idempotence, single-host
-# invariant, torn-tail tolerance — pinned seed), and the recovery
-# suite, which SIGKILLs a real arbiter mid-migration under both
+# invariant, torn-tail tolerance — pinned seed), the sans-IO arbiter
+# suite (its journal replays to its own state — pinned seed), and the
+# recovery suite, which SIGKILLs a real arbiter mid-migration under both
 # arbitration modes and checks the in-doubt settlement verdicts.
 test-wal:
 	$(PYTHON) -m pytest -q -p no:randomly \
 	  --hypothesis-seed=0 \
 	  tests/test_live_wal.py tests/test_prop_wal.py \
-	  tests/test_live_recovery.py
+	  tests/test_live_recovery.py tests/test_live_arbiter.py
 
 bench:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only

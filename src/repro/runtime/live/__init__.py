@@ -6,8 +6,10 @@ processes: length-prefixed pickled envelopes on Unix/TCP sockets
 a crash-tolerant asyncio transport with reconnect + idempotent dedup
 (:mod:`~repro.runtime.live.transport`), per-node workers speaking the
 same lock/lease protocol as the sim (:mod:`~repro.runtime.live.node`),
-and a supervisor with heartbeat failure detection, crash restart, and
-lease recovery (:mod:`~repro.runtime.live.supervisor`).
+the one place-policy arbiter both the supervisor and the home nodes
+host (:mod:`~repro.runtime.live.arbiter`), and a supervisor with
+heartbeat failure detection, crash restart, and lease recovery
+(:mod:`~repro.runtime.live.supervisor`).
 
 Imports here stay lazy-free and asyncio-only so the sim path never pays
 for the live backend: nothing in ``repro.sim`` or ``repro.runtime``

@@ -26,10 +26,14 @@ Who the arbiter *is* depends on the deployment's arbitration mode:
     num_slices``) and each worker is *home node* for its slices,
     granting move-block leases for its own objects peer-to-peer — the
     supervisor is demoted to spawner / failure detector /
-    home-reassigner.  A home node runs the same ``LockManager`` +
-    transfer-fence machinery the supervisor runs centrally; commits
-    are mirrored to the supervisor (``PLACE_NOTICE``) so the WAL keeps
-    an ownership record to reassign slices from when a home dies.
+    home-reassigner.  A home node hosts the same
+    :class:`~repro.runtime.live.arbiter.Arbiter` the supervisor hosts
+    centrally, over its slices only and serving through the same
+    :class:`~repro.runtime.live.arbiter.ArbiterHost` code; its sink
+    mirrors every commit to the supervisor (``PLACE_NOTICE``) so the
+    WAL keeps an ownership record to reassign slices from when a home
+    dies, and its drain-time SETTLE reply carries its verdict for
+    every transfer it granted.
 
 Denied movers degrade to remote ``INVOKE`` at the object's current
 location — §3.2's graceful degradation, now across real processes.
@@ -53,18 +57,18 @@ import os
 import random
 import signal
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.core.locking import LockManager
-from repro.core.moveblock import MoveBlock
 from repro.errors import ConnectionLostError, TimeoutError, TransportClosedError
-from repro.runtime.live.transport import (
-    AsyncioTransport,
-    FaultyTransport,
-    deliver_notice,
+from repro.runtime.live import wal as wal_module
+from repro.runtime.live.arbiter import (
+    ARBITRATION_KINDS,
+    Arbiter,
+    ArbiterHost,
+    LiveObject,
 )
-from repro.runtime.live.wal import TRANSFER_BAND, TransferLogEntry
+from repro.runtime.live.transport import AsyncioTransport, FaultyTransport
+from repro.runtime.live.wal import TRANSFER_BAND
 from repro.runtime.live.wire import (
     BREAK_HOMED,
     DRAIN,
@@ -85,7 +89,6 @@ from repro.runtime.live.wire import (
     SEED,
     SET_FAULTS,
     SETTLE,
-    SETTLE_HOMED,
     SHUTDOWN,
     START,
     STATS,
@@ -109,45 +112,6 @@ MAX_LATENCY_SAMPLES = 2000
 TELEMETRY_FLUSH_INTERVAL = 0.5
 
 
-class LiveObject:
-    """A mobile object as a live worker hosts it.
-
-    Duck-types the slots of
-    :class:`~repro.runtime.objects.DistributedObject` that the lock
-    manager and move-block machinery touch (``object_id``, ``name``,
-    ``lock_holder``) and adds the transferable state: an opaque payload
-    plus a version counter bumped by every invocation — the invariant
-    checker uses versions to prove no invocation was applied to a
-    stale duplicate.
-    """
-
-    __slots__ = ("object_id", "name", "payload", "version", "lock_holder")
-
-    def __init__(self, object_id: int, payload: Any = None, version: int = 0):
-        self.object_id = object_id
-        self.name = f"obj-{object_id}"
-        self.payload = payload
-        self.version = version
-        self.lock_holder = None
-
-    def state(self) -> Dict[str, Any]:
-        """Picklable transfer form."""
-        return {
-            "object_id": self.object_id,
-            "payload": self.payload,
-            "version": self.version,
-        }
-
-    @staticmethod
-    def from_state(state: Dict[str, Any]) -> "LiveObject":
-        return LiveObject(
-            state["object_id"], state["payload"], state["version"]
-        )
-
-    def __repr__(self) -> str:
-        return f"<LiveObject {self.name} v{self.version}>"
-
-
 @dataclass
 class WorkerStats:
     """Per-worker workload counters, shipped home at drain."""
@@ -162,9 +126,6 @@ class WorkerStats:
     moved_object_ids: List[int] = field(default_factory=list)
     #: Wall-clock seconds per completed migration (bounded sample).
     transfer_latencies: List[float] = field(default_factory=list)
-    #: Grants/denials served while acting as a home node.
-    home_grants: int = 0
-    home_denials: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         """Picklable counter snapshot for the supervisor's report."""
@@ -178,22 +139,10 @@ class WorkerStats:
             "remote_invocations": self.remote_invocations,
             "moved_object_ids": list(self.moved_object_ids),
             "transfer_latencies": list(self.transfer_latencies),
-            "home_grants": self.home_grants,
-            "home_denials": self.home_denials,
         }
 
 
-class _PeerDown:
-    """``health`` adapter naming one dead peer for ``break_crashed``."""
-
-    def __init__(self, node_id: int):
-        self.node_id = node_id
-
-    def is_down(self, node_id: int) -> bool:
-        return node_id == self.node_id
-
-
-class LiveNodeWorker:
+class LiveNodeWorker(ArbiterHost):
     """The asyncio application running inside one worker process."""
 
     def __init__(
@@ -223,6 +172,7 @@ class LiveNodeWorker:
             incarnation=incarnation,
         )
         self.faults = FaultyTransport(self.transport, seed=rng_seed)
+        self.clock = self.transport.clock
         # -- per-process telemetry (NullTelemetry fast path when off) --
         self.telemetry_dir = telemetry_dir
         if telemetry_dir:
@@ -279,18 +229,52 @@ class LiveNodeWorker:
         self.home_map: Dict[int, int] = {}
         #: Slices this worker is home for.
         self.home_slices: Set[int] = set()
-        #: Authoritative placement for objects in our slices.
-        self.home_placement: Dict[int, int] = {}
-        #: Lockable stand-ins for our slice's objects (lock state only —
-        #: the *hosted* object may live on any worker).
-        self.home_records: Dict[int, LiveObject] = {}
-        self.home_locks = LockManager(
-            clock=self.transport.clock, lease_duration=lease_duration
+        #: Arbitrates the objects of our slices.  Its ids are banded by
+        #: node, so two homes never mint the same transfer id and any
+        #: id names the home that granted it.
+        self.arbiter = Arbiter(
+            self.clock,
+            lease_duration,
+            self._journal,
+            band=node_id * TRANSFER_BAND,
         )
-        self.home_blocks: Dict[int, MoveBlock] = {}
-        self.home_transfers: Dict[int, TransferLogEntry] = {}
-        self._home_seq = count(1)
-        self._notices: Set = set()
+        self._notices: Set[asyncio.Future] = set()
+
+    @property
+    def home_placement(self) -> Dict[int, int]:
+        """Authoritative placement for objects in our slices."""
+        return self.arbiter.placement
+
+    def _journal(self, kind: str, data: Dict[str, Any]) -> None:
+        """The home arbiter's sink: mirror commits to the supervisor.
+
+        One attempt only: a late re-send could land after the mirror
+        of a newer move and overwrite it.  The supervisor may itself be
+        mid-recovery; a lost notice only widens the inventory
+        reconciliation it must do anyway.
+        """
+        if kind != wal_module.PLACE:
+            return
+        transfer = self.arbiter.transfers[data["transfer_id"]]
+        self._send_notice(
+            SUPERVISOR,
+            PLACE_NOTICE,
+            {
+                "transfer_id": transfer.transfer_id,
+                "object_id": transfer.object_id,
+                "node": transfer.dst,
+            },
+            trace=transfer.trace,
+            budget=0.0,
+        )
+
+    def _stats(self) -> Dict[str, Any]:
+        """Workload counters plus the grants served as a home node."""
+        return {
+            **self.stats.as_dict(),
+            "home_grants": self.arbiter.grants,
+            "home_denials": self.arbiter.denials,
+        }
 
     # -- lifecycle ------------------------------------------------------------
 
@@ -390,45 +374,22 @@ class LiveNodeWorker:
             transfer_id = envelope.payload["transfer_id"]
             self.in_transit.pop(transfer_id, None)
             if self.telemetry.enabled:
-                self.telemetry.end_span(
-                    self.telemetry.start_span(
-                        "live.evict",
-                        node=self.node_id,
-                        remote=envelope.trace,
-                        detached=True,
-                        transfer=transfer_id,
-                    )
-                )
+                self._mark("live.evict", envelope, transfer=transfer_id)
             await self.transport.reply(envelope, {"ok": True})
         elif kind == RESTORE:
             transfer_id = envelope.payload["transfer_id"]
             obj = self.in_transit.pop(transfer_id, None)
             if obj is not None:
                 self.objects[obj.object_id] = obj
-            if self.telemetry.enabled:
-                self.telemetry.end_span(
-                    self.telemetry.start_span(
-                        "live.restore",
-                        node=self.node_id,
-                        remote=envelope.trace,
-                        detached=True,
-                        transfer=transfer_id,
-                        restored=obj is not None,
-                    )
-                )
-            await self.transport.reply(envelope, {"ok": True})
-        elif kind == MOVE_REQUEST:
-            await self._serve_home_move(envelope)
-        elif kind == PLACE:
-            await self._serve_home_place(envelope)
-        elif kind == ROLLBACK:
-            await self._serve_home_rollback(envelope)
-        elif kind == END_REQUEST:
-            block = self.home_blocks.pop(envelope.payload["block_id"], None)
-            released = (
-                self.home_locks.release_block(block) if block else 0
+            self._mark(
+                "live.restore",
+                envelope,
+                transfer=transfer_id,
+                restored=obj is not None,
             )
-            await self.transport.reply(envelope, {"released": released})
+            await self.transport.reply(envelope, {"ok": True})
+        elif kind in ARBITRATION_KINDS:
+            await self.serve_arbitration(envelope)
         elif kind == HOME_ASSIGN:
             await self._serve_home_assign(envelope)
         elif kind == HOME_MAP:
@@ -443,39 +404,22 @@ class LiveNodeWorker:
                 {
                     "slices": sorted(self.home_slices),
                     "placement": dict(self.home_placement),
-                    "pending": [
-                        t.transfer_id
-                        for t in self.home_transfers.values()
-                        if t.state == "pending"
-                    ],
                 },
             )
         elif kind == BREAK_HOMED:
-            await self._serve_break_homed(envelope)
-        elif kind == SETTLE_HOMED:
-            for tid in envelope.payload.get("evict", ()):
-                self.in_transit.pop(tid, None)
-            for tid in envelope.payload.get("restore", ()):
-                obj = self.in_transit.pop(tid, None)
-                if obj is not None:
-                    self.objects[obj.object_id] = obj
-            await self.transport.reply(envelope, {"ok": True})
+            # A peer died: break its leases, settle its transfers.
+            broken, effects = self.arbiter.break_node(envelope.payload["node"])
+            self._dispatch(effects)
+            await self.transport.reply(envelope, {"broken": broken})
         elif kind == SETTLE:
             await self._serve_settle(envelope)
         elif kind == SEED:
             for state in envelope.payload["objects"]:
                 obj = LiveObject.from_state(state)
                 self.objects[obj.object_id] = obj
-            if self.telemetry.enabled:
-                self.telemetry.end_span(
-                    self.telemetry.start_span(
-                        "live.seed",
-                        node=self.node_id,
-                        remote=envelope.trace,
-                        detached=True,
-                        count=len(envelope.payload["objects"]),
-                    )
-                )
+            self._mark(
+                "live.seed", envelope, count=len(envelope.payload["objects"])
+            )
             await self.transport.reply(
                 envelope, {"ok": True, "count": len(self.objects)}
             )
@@ -488,21 +432,16 @@ class LiveNodeWorker:
             asyncio.ensure_future(self._workload())
             await self.transport.reply(envelope, {"ok": True})
         elif kind == STATS:
-            await self.transport.reply(envelope, self.stats.as_dict())
+            await self.transport.reply(envelope, self._stats())
         elif kind == DRAIN:
             await self._serve_drain(envelope)
         elif kind == INVENTORY:
-            if self.telemetry.enabled:
-                self.telemetry.end_span(
-                    self.telemetry.start_span(
-                        "live.inventory",
-                        node=self.node_id,
-                        remote=envelope.trace,
-                        detached=True,
-                        objects=len(self.objects),
-                        in_transit=len(self.in_transit),
-                    )
-                )
+            self._mark(
+                "live.inventory",
+                envelope,
+                objects=len(self.objects),
+                in_transit=len(self.in_transit),
+            )
             await self.transport.reply(
                 envelope,
                 {
@@ -532,16 +471,12 @@ class LiveNodeWorker:
         transfer_id = envelope.payload["transfer_id"]
         obj = self.objects.pop(object_id, None)
         if self.telemetry.enabled:
-            self.telemetry.end_span(
-                self.telemetry.start_span(
-                    "live.transfer.serve",
-                    node=self.node_id,
-                    remote=envelope.trace,
-                    detached=True,
-                    object=object_id,
-                    transfer=transfer_id,
-                    held=obj is not None,
-                )
+            self._mark(
+                "live.transfer.serve",
+                envelope,
+                object=object_id,
+                transfer=transfer_id,
+                held=obj is not None,
             )
         if obj is None:
             await self.transport.reply(envelope, {"state": None})
@@ -569,14 +504,7 @@ class LiveNodeWorker:
         still-running movers on other nodes.
         """
         telemetry = self.telemetry
-        span = None
-        if telemetry.enabled:
-            span = telemetry.start_span(
-                "live.drain",
-                node=self.node_id,
-                remote=envelope.trace,
-                detached=True,
-            )
+        span = self._span("live.drain", envelope)
         if self.flight is not None:
             self.flight.record("state.draining")
         self._draining.set()
@@ -605,7 +533,7 @@ class LiveNodeWorker:
         await self.transport.reply(
             envelope,
             {
-                "stats": self.stats.as_dict(),
+                "stats": self._stats(),
                 "transport": self.transport.stats(),
             },
         )
@@ -617,208 +545,24 @@ class LiveNodeWorker:
         for slice_id in envelope.payload["slices"]:
             self.home_slices.add(slice_id)
             self.home_map[slice_id] = self.node_id
-        for oid, where in envelope.payload["placement"].items():
-            self.home_placement[oid] = where
-            if oid not in self.home_records:
-                self.home_records[oid] = LiveObject(oid)
+        self.arbiter.adopt(envelope.payload["placement"])
         await self.transport.reply(
             envelope, {"ok": True, "slices": sorted(self.home_slices)}
         )
 
-    async def _serve_home_move(self, envelope: Envelope) -> None:
-        """§3.2 at a peer home node: grant the lock or answer "locked"."""
-        decision = self._home_move_decision(envelope)
-        if self.telemetry.enabled:
-            self.telemetry.end_span(
-                self.telemetry.start_span(
-                    "live.grant",
-                    node=self.node_id,
-                    remote=envelope.trace,
-                    detached=True,
-                    object=envelope.payload["object_id"],
-                    granted=decision["granted"],
-                )
-            )
-        await self.transport.reply(envelope, decision)
-
-    def _home_move_decision(self, envelope: Envelope) -> Dict[str, Any]:
-        """The grant-or-deny decision behind :meth:`_serve_home_move`."""
-        object_id = envelope.payload["object_id"]
-        mover = envelope.src
-        in_slice = (
-            self.num_slices > 0
-            and object_id % self.num_slices in self.home_slices
-        )
-        if not in_slice or object_id not in self.home_placement:
-            # Stale map at the mover (slice reassigned): not ours.
-            return {
-                "granted": False,
-                "location": self.home_placement.get(object_id),
-                "not_home": True,
-            }
-        record = self.home_records[object_id]
-        if self.home_locks.is_locked(record):
-            self.stats.home_denials += 1
-            return {
-                "granted": False,
-                "location": self.home_placement[object_id],
-            }
-        block = MoveBlock(client_node=mover, target=record)
-        try:
-            self.home_locks.lock(record, block)
-        except Exception:
-            self.stats.home_denials += 1
-            return {
-                "granted": False,
-                "location": self.home_placement[object_id],
-            }
-        self.stats.home_grants += 1
-        self.home_blocks[block.block_id] = block
-        source = self.home_placement[object_id]
-        transfer_id = None
-        if source != mover:
-            # Band the id by home node: two homes can never mint the
-            # same transfer id, and recovery can attribute any id to
-            # the home that granted it.
-            transfer_id = self.node_id * TRANSFER_BAND + next(self._home_seq)
-            self.home_transfers[transfer_id] = TransferLogEntry(
-                transfer_id=transfer_id,
-                object_id=object_id,
-                src=source,
-                dst=mover,
-                block_id=block.block_id,
-            )
-        return {
-            "granted": True,
-            "source": source,
-            "block_id": block.block_id,
-            "transfer_id": transfer_id,
-        }
-
-    async def _serve_home_place(self, envelope: Envelope) -> None:
-        """The linearization point, at the home: commit or fence out."""
-        transfer = self.home_transfers.get(envelope.payload["transfer_id"])
-        ok = (
-            transfer is not None
-            and transfer.state == "pending"
-            and transfer.dst == envelope.src
-            and transfer.block_id in self.home_blocks
-            and not self.home_locks.was_broken(
-                self.home_blocks[transfer.block_id]
-            )
-        )
-        if ok:
-            transfer.state = "placed"
-            self.home_placement[transfer.object_id] = transfer.dst
-            self._notify(
-                transfer.src,
-                EVICT,
-                {"transfer_id": transfer.transfer_id},
-                trace=envelope.trace,
-            )
-            # Mirror the commit to the supervisor's WAL so a dead
-            # home's slice can be reassigned from durable ownership
-            # records.  One attempt only: a late re-send could land
-            # after the mirror of a newer move and overwrite it.  The
-            # supervisor may itself be mid-recovery; a lost notice only
-            # widens the inventory reconciliation it must do anyway.
-            self._notify(
-                SUPERVISOR,
-                PLACE_NOTICE,
-                {
-                    "transfer_id": transfer.transfer_id,
-                    "object_id": transfer.object_id,
-                    "node": transfer.dst,
-                },
-                trace=envelope.trace,
-                budget=0.0,
-            )
-        if self.telemetry.enabled:
-            self.telemetry.end_span(
-                self.telemetry.start_span(
-                    "live.place",
-                    node=self.node_id,
-                    remote=envelope.trace,
-                    detached=True,
-                    transfer=envelope.payload["transfer_id"],
-                    ok=ok,
-                )
-            )
-        await self.transport.reply(envelope, {"ok": ok})
-
-    async def _serve_home_rollback(self, envelope: Envelope) -> None:
-        """Abort a home-granted transfer; restore the source's copy."""
-        transfer = self.home_transfers.get(envelope.payload["transfer_id"])
-        ok = transfer is not None and transfer.state == "pending"
-        if ok:
-            transfer.state = "rolled_back"
-            self._notify(
-                transfer.src,
-                RESTORE,
-                {"transfer_id": transfer.transfer_id},
-                trace=envelope.trace,
-            )
-        if self.telemetry.enabled:
-            self.telemetry.end_span(
-                self.telemetry.start_span(
-                    "live.rollback",
-                    node=self.node_id,
-                    remote=envelope.trace,
-                    detached=True,
-                    transfer=envelope.payload["transfer_id"],
-                    ok=ok,
-                )
-            )
-        await self.transport.reply(envelope, {"ok": ok})
-
-    async def _serve_break_homed(self, envelope: Envelope) -> None:
-        """A peer died: break its leases, settle its transfers locally.
-
-        Mirrors the central supervisor's ``_restart_inner`` lock
-        recovery, but only for the state *this* home arbitrates.
-        """
-        dead = envelope.payload["node"]
-        before = set(self.home_locks._broken)
-        broken = self.home_locks.break_crashed(_PeerDown(dead))
-        for block_id in self.home_locks._broken - before:
-            self.home_blocks.pop(block_id, None)
-        for transfer in self.home_transfers.values():
-            if transfer.state != "pending":
-                continue
-            if transfer.dst == dead:
-                transfer.state = "rolled_back"
-                if transfer.src != dead:
-                    self._notify(
-                        transfer.src,
-                        RESTORE,
-                        {"transfer_id": transfer.transfer_id},
-                    )
-            elif transfer.src == dead:
-                # Source died holding the held-back copy: state lost,
-                # placement never moved — the supervisor re-seeds it.
-                transfer.state = "failed"
-        await self.transport.reply(envelope, {"broken": broken})
-
     async def _serve_settle(self, envelope: Envelope) -> None:
-        """Drain-time settlement of everything this home arbitrates."""
-        leaked = 0
-        for transfer in self.home_transfers.values():
-            if transfer.state == "pending":
-                transfer.state = "rolled_back"
-                self._notify(
-                    transfer.src,
-                    RESTORE,
-                    {"transfer_id": transfer.transfer_id},
-                )
-        for block in list(self.home_blocks.values()):
-            leaked += 1 if self.home_locks.release_block(block) else 0
-        self.home_blocks.clear()
-        deadline = self.transport.clock.deadline(self.request_timeout)
-        while self._notices and not self.transport.clock.expired(deadline):
-            await asyncio.sleep(0.02)
+        """Drain-time settlement of everything this home arbitrates.
+
+        The reply carries the verdict for every transfer this home
+        granted: the supervisor re-tells it to any copy still held in
+        transit, so the notices need not all land within the wait.
+        """
+        leaked, effects = self.arbiter.settle()
+        self._dispatch(effects)
+        await self._await_notices(self.request_timeout)
         lock_violations: List[str] = []
         try:
-            self.home_locks.check_invariant()
+            self.arbiter.locks.check_invariant()
         except AssertionError as exc:
             lock_violations.append(f"home {self.node_id}: {exc}")
         await self.transport.reply(
@@ -828,38 +572,9 @@ class LiveNodeWorker:
                 "placement": dict(self.home_placement),
                 "slices": sorted(self.home_slices),
                 "lock_violations": lock_violations,
+                "verdicts": self.arbiter.verdicts(),
             },
         )
-
-    def _notify(
-        self,
-        node: int,
-        kind: str,
-        payload: Dict[str, Any],
-        trace: Optional[Tuple[int, int]] = None,
-        budget: Optional[float] = None,
-    ) -> None:
-        """Fire-and-forget settlement/mirror notice to a peer.
-
-        Settlement notices retry for ``notice_budget`` seconds (unless
-        ``budget`` overrides it), as the central supervisor's do (see
-        :func:`~repro.runtime.live.transport.deliver_notice`); a dead
-        peer's state is re-seeded and reconciled anyway.
-        """
-        task = asyncio.ensure_future(
-            deliver_notice(
-                self.transport,
-                self.transport.clock,
-                node,
-                kind,
-                payload,
-                timeout=self.request_timeout,
-                budget=self.notice_budget if budget is None else budget,
-                trace=trace,
-            )
-        )
-        self._notices.add(task)
-        task.add_done_callback(self._notices.discard)
 
     # -- the workload: concurrent movers --------------------------------------
 

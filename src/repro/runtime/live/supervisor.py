@@ -4,19 +4,22 @@ The supervisor is the live deployment's control plane, running under
 node id :data:`~repro.runtime.live.wire.SUPERVISOR`.  It plays five
 roles:
 
-**Arbiter (central mode).**  The paper's place-policy decision (§3.2)
-runs here against the *real* :class:`~repro.core.locking.LockManager`
-on a :class:`~repro.runtime.clock.WallClock`.  Every move-block is a
-real :class:`~repro.core.moveblock.MoveBlock`.  The supervisor is also
-the placement linearization point: a migration commits only when the
-destination's ``PLACE`` passes the transfer fence, so a lost ack or a
-partition can delay a migration but never duplicate an object.
+**Arbiter (central mode).**  The supervisor hosts the one
+:class:`~repro.runtime.live.arbiter.Arbiter` as home for every object:
+the paper's place-policy decision (§3.2) runs against the *real*
+:class:`~repro.core.locking.LockManager` on a
+:class:`~repro.runtime.clock.WallClock`, and a migration commits only
+when the destination's ``PLACE`` passes the transfer fence, so a lost
+ack or a partition can delay a migration but never duplicate an
+object.  Under *home* arbitration the same class runs in the workers,
+and the supervisor's arbiter owns nothing: it answers ``not_home`` and
+keeps only the placement mirror.
 
 **Journal.**  Every arbitration transition — grant, PLACE commit,
 rollback, lease break, incarnation bump, home-slice assignment — is
-appended to the :class:`~repro.runtime.live.wal.ArbitrationWal`
-*before* the corresponding control message leaves the process.  The
-WAL is what makes the arbiter itself killable.
+appended to the :class:`~repro.runtime.live.wal.ArbitrationWal` (the
+arbiter's sink) *before* the corresponding control message leaves the
+process.  The WAL is what makes the arbiter itself killable.
 
 **Failure detector.**  Workers heartbeat over the control plane; the
 supervisor feeds :class:`~repro.runtime.failure.HeartbeatHistory`
@@ -38,9 +41,11 @@ live inventories.
 
 **Drain.**  Graceful shutdown asks each worker to finish its in-flight
 block and report stats + inventory under a hard deadline
-(:class:`~repro.errors.DrainTimeoutError` otherwise); the inventories
-are then audited against the placement map — every object exactly
-once, exactly where the map says.
+(:class:`~repro.errors.DrainTimeoutError` otherwise).  Every arbiter
+then settles its transfers and reports its verdicts; a copy still held
+in transit is re-told its transfer's verdict, and the inventories are
+audited against the placement map — every object exactly once,
+exactly where the map says.
 
 Recovery (``recover=True``) replays the WAL, rebuilds lock/placement/
 fence state, waits for the orphaned workers to reconnect, and settles
@@ -55,7 +60,6 @@ reached the destination and is reverted to the source.
 from __future__ import annotations
 
 import asyncio
-import itertools
 import json
 import multiprocessing
 import os
@@ -72,23 +76,24 @@ from repro.availability.livechaos import (
     LiveFaultWindow,
     LivePartition,
 )
-from repro.core.locking import LockManager
-from repro.core.moveblock import MoveBlock
 from repro.errors import ConnectionLostError, DrainTimeoutError, TimeoutError
 from repro.runtime.clock import WallClock
 from repro.runtime.failure import HeartbeatHistory
 from repro.runtime.live import wal as wal_module
-from repro.runtime.live.node import LiveObject, worker_main
-from repro.runtime.live.transport import (
-    AsyncioTransport,
-    deliver_notice,
-    unix_supported,
+from repro.runtime.live.arbiter import (
+    ARBITRATION_KINDS,
+    Arbiter,
+    ArbiterHost,
+    DownSet,
+    LiveObject,
+    orphan_verdict,
 )
-from repro.runtime.live.wal import TRANSFER_BAND, ArbitrationWal
+from repro.runtime.live.node import worker_main
+from repro.runtime.live.transport import AsyncioTransport, unix_supported
+from repro.runtime.live.wal import TRANSFER_BAND, ArbitrationWal, Transfer
 from repro.runtime.live.wire import (
     BREAK_HOMED,
     DRAIN,
-    END_REQUEST,
     EVICT,
     HEARTBEAT,
     HOME_ASSIGN,
@@ -96,14 +101,10 @@ from repro.runtime.live.wire import (
     HOME_STATE,
     INVENTORY,
     LOCATE,
-    MOVE_REQUEST,
-    PLACE,
     PLACE_NOTICE,
     RESTORE,
-    ROLLBACK,
     SET_FAULTS,
     SETTLE,
-    SETTLE_HOMED,
     SHUTDOWN,
     START,
     STATS,
@@ -121,6 +122,14 @@ from repro.telemetry.live import (
 
 #: Arbitration modes the config accepts.
 ARBITRATION_MODES = ("central", "home")
+
+#: The SET_FAULTS config of a clean data plane.
+HEALED_FAULTS = {
+    "drop_rate": 0.0,
+    "duplicate_rate": 0.0,
+    "delay_range": (0.0, 0.0),
+    "partitions": [],
+}
 
 
 @dataclass
@@ -186,34 +195,33 @@ class SupervisorConfig:
             )
 
 
-@dataclass
-class Transfer:
-    """One in-flight object transfer, fenced by id."""
-
-    transfer_id: int
-    object_id: int
-    src: int
-    dst: int
-    block_id: int
-    state: str = "pending"  # pending | placed | rolled_back | failed
-    #: Telemetry context of the mover's migration-root span, captured
-    #: from the MOVE_REQUEST envelope so EVICT/RESTORE notices join the
-    #: same cross-process trace.
-    trace: Optional[Tuple[int, int]] = None
+def _hosted(inventories: Dict[int, Dict[str, Any]]) -> Dict[int, int]:
+    """object id -> the node whose inventory holds it."""
+    return {
+        int(oid): node
+        for node, payload in inventories.items()
+        for oid in payload["inventory"]
+    }
 
 
-class _CrashedSet:
-    """``health`` adapter for ``LockManager.break_crashed``."""
+def _arbiter_attr(name: str) -> property:
+    """The supervisor's view of one piece of its arbiter's state."""
 
-    def __init__(self):
-        self.down: Set[int] = set()
+    def get(self):
+        return getattr(self.arbiter, name)
 
-    def is_down(self, node_id: int) -> bool:
-        return node_id in self.down
+    get.__doc__ = f"The arbiter's ``{name}``."
+    return property(get, lambda self, value: setattr(self.arbiter, name, value))
 
 
-class NodeSupervisor:
+class NodeSupervisor(ArbiterHost):
     """Control plane for one live multi-process deployment."""
+
+    locks = _arbiter_attr("locks")
+    records = _arbiter_attr("records")
+    placement = _arbiter_attr("placement")
+    blocks = _arbiter_attr("blocks")
+    transfers = _arbiter_attr("transfers")
 
     def __init__(
         self,
@@ -240,23 +248,25 @@ class NodeSupervisor:
         )
         self.worker_ids = list(range(1, config.num_nodes + 1))
         self.peers = self._address_map()
-        # The paper's lock machinery, verbatim, on wall time.
-        self.locks = LockManager(
-            clock=self.clock, lease_duration=config.lease_duration
-        )
-        self.records: Dict[int, LiveObject] = {
-            oid: LiveObject(oid) for oid in range(config.num_objects)
-        }
-        #: object id -> node currently hosting it.  In central mode
-        #: this is the authority; in home mode it is the WAL-mirrored
-        #: view the supervisor re-seeds and reassigns from.
-        self.placement: Dict[int, int] = {
+        self.node_id = SUPERVISOR
+        self.request_timeout = config.request_timeout
+        self.notice_budget = config.drain_timeout
+        self._notices: Set[asyncio.Future] = set()
+        # The paper's lock machinery, verbatim, on wall time.  Its
+        # placement is the authority in central mode; in home mode it
+        # is the WAL-mirrored view the supervisor re-seeds and
+        # reassigns from, and the arbiter owns no object.
+        self.arbiter = Arbiter(self.clock, config.lease_duration, self._log)
+        initial = {
             oid: self.worker_ids[oid % len(self.worker_ids)]
             for oid in range(config.num_objects)
         }
-        self.blocks: Dict[int, MoveBlock] = {}
-        self.transfers: Dict[int, Transfer] = {}
-        self._transfer_ids = itertools.count(1)
+        if config.arbitration == "central":
+            self.arbiter.adopt(initial)
+        else:
+            self.placement.update(initial)
+        #: transfer id -> state, from every home's drain-time SETTLE.
+        self._home_verdicts: Dict[int, str] = {}
         #: slice -> home node (home arbitration; one slice per worker).
         self.num_slices = config.num_nodes
         self.home: Dict[int, int] = {}
@@ -285,7 +295,7 @@ class NodeSupervisor:
             timeout=config.heartbeat_timeout,
             phi_threshold=config.phi_threshold,
         )
-        self.health = _CrashedSet()
+        self.health = DownSet()
         self.processes: Dict[int, multiprocessing.process.BaseProcess] = {}
         #: node id -> OS pid, learned from heartbeats — how a recovered
         #: supervisor manages workers it never spawned.
@@ -297,14 +307,11 @@ class NodeSupervisor:
         self.crashes_seen = 0
         self.crashes_delivered = 0
         self.leases_broken_total = 0
-        self.conflicts = 0
-        self.grants = 0
         self.home_reassignments = 0
         self.in_doubt_committed = 0
         self.in_doubt_rolled_back = 0
         self.in_doubt_reverted = 0
         self.faults_active: Dict[str, Any] = {}
-        self._settlements: Set = set()
         self._stopping = False
         self._in_drain = False
         # -- cross-process telemetry (inert unless dir + enabled) --
@@ -340,49 +347,16 @@ class NodeSupervisor:
             else None
         )
         state, records = wal_module.replay(self.wal_path, self.telemetry)
-        if state.num_objects:
-            self.records = {
-                oid: LiveObject(oid) for oid in range(state.num_objects)
-            }
-        if state.placement:
-            self.placement = dict(state.placement)
-        for transfer_id, entry in state.transfers.items():
-            self.transfers[transfer_id] = Transfer(
-                transfer_id=entry.transfer_id,
-                object_id=entry.object_id,
-                src=entry.src,
-                dst=entry.dst,
-                block_id=entry.block_id,
-                state=entry.state,
-            )
-            # Settlement trusts only the state the log proves: a
-            # transfer that advances *after* replay (a live PLACE
-            # served by this incarnation) is no longer in doubt.
-            self._wal_states[transfer_id] = entry.state
-        # In central mode the supervisor mints small ids; in home mode
-        # the homes mint banded ids and this counter is never consulted
-        # (the supervisor answers MOVE_REQUEST with not_home).
-        self._transfer_ids = itertools.count(state.max_transfer_id + 1)
+        # Settlement trusts only the state the log proves: a transfer
+        # that advances *after* replay (a live PLACE served by this
+        # incarnation) is no longer in doubt.
+        self._wal_states = {
+            tid: entry.state for tid, entry in state.transfers.items()
+        }
         self._recovered_max_transfer = state.max_transfer_id
-        # Revive open move-blocks with their *recorded* ids (the fence
-        # is the id) and re-mark broken ones; the id counter advances
-        # past everything imported.
-        self.locks.import_lease_state(
-            {
-                "blocks": [
-                    {
-                        "block_id": block_id,
-                        "client_node": desc["client_node"],
-                        "object_ids": [desc["object_id"]],
-                    }
-                    for block_id, desc in state.blocks.items()
-                ],
-                "broken": state.broken_blocks,
-            },
-            self.records,
-        )
-        for block in self.locks.held_blocks():
-            self.blocks[block.block_id] = block
+        # Revives open move-blocks with their *recorded* ids (the fence
+        # is the id) and re-marks broken ones.
+        self.arbiter.load(state)
         for node_id, incarnation in state.incarnations.items():
             if node_id in self.incarnations:
                 self.incarnations[node_id] = incarnation
@@ -406,6 +380,42 @@ class NodeSupervisor:
         return self.wal.append(kind, data)
 
     # -- wiring ---------------------------------------------------------------
+
+    async def _ask(
+        self,
+        node_id: int,
+        kind: str,
+        payload: Optional[Dict[str, Any]] = None,
+        timeout: Optional[float] = None,
+    ) -> Optional[Envelope]:
+        """One control request; None when the worker is unreachable.
+
+        An unreachable worker is mid-crash: its restart re-sends
+        whatever it missed.
+        """
+        try:
+            return await self.transport.request(
+                node_id,
+                kind,
+                payload,
+                timeout=timeout or self.config.request_timeout,
+            )
+        except (TimeoutError, ConnectionLostError):
+            return None
+
+    async def _inventories(
+        self, peers: Optional[List[int]] = None, timeout: Optional[float] = None
+    ) -> Dict[int, Dict[str, Any]]:
+        """INVENTORY from every reachable peer, concurrently."""
+        peers = self.worker_ids if peers is None else peers
+        replies = await asyncio.gather(
+            *(self._ask(p, INVENTORY, timeout=timeout) for p in peers)
+        )
+        return {
+            p: reply.payload
+            for p, reply in zip(peers, replies)
+            if reply is not None
+        }
 
     def _address_map(self) -> Dict[int, Tuple]:
         if unix_supported():
@@ -518,19 +528,8 @@ class NodeSupervisor:
                         sample,
                         local_recv,
                     )
-        elif kind == MOVE_REQUEST:
-            await self._serve_move_request(envelope)
-        elif kind == PLACE:
-            await self._serve_place(envelope)
-        elif kind == ROLLBACK:
-            await self._serve_rollback(envelope)
-        elif kind == END_REQUEST:
-            block = self.blocks.pop(envelope.payload["block_id"], None)
-            released = 0
-            if block is not None:
-                self._log(wal_module.END, {"block_id": block.block_id})
-                released = self.locks.release_block(block)
-            await self.transport.reply(envelope, {"released": released})
+        elif kind in ARBITRATION_KINDS:
+            await self.serve_arbitration(envelope)
         elif kind == PLACE_NOTICE:
             # A peer home committed a transfer: mirror the ownership
             # move into the WAL so slice reassignment survives us.
@@ -551,172 +550,6 @@ class NodeSupervisor:
             await self.transport.reply(
                 envelope, {"location": self.placement.get(oid)}
             )
-
-    async def _serve_move_request(self, envelope: Envelope) -> None:
-        """§3.2 at the arbiter: grant the lock or answer "locked".
-
-        The arbitration decision itself is :meth:`_move_decision`; this
-        wrapper joins the mover's migration trace (the MOVE_REQUEST
-        envelope carries the mover's ``live.move`` span context) so one
-        migration renders as a single cross-process span tree.
-        """
-        span = (
-            self.telemetry.start_span(
-                "live.grant",
-                node=SUPERVISOR,
-                remote=envelope.trace,
-                detached=True,
-                object=envelope.payload["object_id"],
-            )
-            if self.telemetry.enabled
-            else None
-        )
-        reply = self._move_decision(envelope)
-        if span is not None:
-            self.telemetry.end_span(span, granted=reply["granted"])
-        await self.transport.reply(envelope, reply)
-
-    def _move_decision(self, envelope: Envelope) -> Dict[str, Any]:
-        mover = envelope.src
-        object_id = envelope.payload["object_id"]
-        if self.config.arbitration == "home":
-            # Demoted supervisor: movers should ask the home node; a
-            # request landing here means their map is still warming up.
-            self.conflicts += 1
-            return {
-                "granted": False,
-                "location": self.placement.get(object_id),
-                "not_home": True,
-            }
-        record = self.records[object_id]
-        if self._grants_frozen or self.locks.is_locked(record):
-            self.conflicts += 1
-            return {"granted": False, "location": self.placement[object_id]}
-        block = MoveBlock(client_node=mover, target=record)
-        try:
-            self.locks.lock(record, block)
-        except Exception:
-            # e.g. a broken (crash-suspected) mover retrying: deny.
-            self.conflicts += 1
-            return {"granted": False, "location": self.placement[object_id]}
-        self.grants += 1
-        self.blocks[block.block_id] = block
-        source = self.placement[object_id]
-        transfer_id = None
-        if source != mover:
-            transfer_id = next(self._transfer_ids)
-            self.transfers[transfer_id] = Transfer(
-                transfer_id,
-                object_id,
-                source,
-                mover,
-                block.block_id,
-                trace=envelope.trace,
-            )
-        # Log, *then* send: if we die between the two, recovery revives
-        # the grant and the mover's timeout aborts it cleanly.
-        self._log(
-            wal_module.GRANT,
-            {
-                "block_id": block.block_id,
-                "object_id": object_id,
-                "mover": mover,
-                "source": source,
-                "transfer_id": transfer_id,
-            },
-        )
-        return {
-            "granted": True,
-            "source": source,
-            "block_id": block.block_id,
-            "transfer_id": transfer_id,
-        }
-
-    async def _serve_place(self, envelope: Envelope) -> None:
-        """The linearization point: commit or fence out a transfer."""
-        transfer = self.transfers.get(envelope.payload["transfer_id"])
-        ok = (
-            transfer is not None
-            and transfer.state == "pending"
-            and transfer.dst == envelope.src
-            and transfer.block_id in self.blocks
-            and not self.locks.was_broken(self.blocks[transfer.block_id])
-        )
-        span = (
-            self.telemetry.start_span(
-                "live.place",
-                node=SUPERVISOR,
-                remote=envelope.trace,
-                detached=True,
-                transfer=envelope.payload["transfer_id"],
-            )
-            if self.telemetry.enabled
-            else None
-        )
-        if ok:
-            # The WAL append *is* the commit: recovery treats a logged
-            # PLACE as "the destination may hold the object" and
-            # settles it against the destination's inventory.
-            self._log(
-                wal_module.PLACE, {"transfer_id": transfer.transfer_id}
-            )
-            transfer.state = "placed"
-            self.placement[transfer.object_id] = transfer.dst
-            self._notify(transfer.src, EVICT, transfer)
-        if span is not None:
-            self.telemetry.end_span(span, ok=ok)
-        await self.transport.reply(envelope, {"ok": ok})
-
-    async def _serve_rollback(self, envelope: Envelope) -> None:
-        """Abort a transfer: the source's held-back copy is restored."""
-        transfer = self.transfers.get(envelope.payload["transfer_id"])
-        ok = transfer is not None and transfer.state == "pending"
-        span = (
-            self.telemetry.start_span(
-                "live.rollback",
-                node=SUPERVISOR,
-                remote=envelope.trace,
-                detached=True,
-                transfer=envelope.payload["transfer_id"],
-            )
-            if self.telemetry.enabled
-            else None
-        )
-        if ok:
-            self._log(
-                wal_module.ROLLBACK, {"transfer_id": transfer.transfer_id}
-            )
-            transfer.state = "rolled_back"
-            self._notify(transfer.src, RESTORE, transfer)
-        if span is not None:
-            self.telemetry.end_span(span, ok=ok)
-        await self.transport.reply(envelope, {"ok": ok})
-
-    def _notify(self, node: int, kind: str, transfer: Transfer) -> None:
-        """Fire-and-forget settlement notice to a transfer's source.
-
-        Retried until delivered or the drain budget runs out (see
-        :func:`~repro.runtime.live.transport.deliver_notice`).  A
-        crashed source is the one acceptable drop — its respawn is
-        re-seeded from the placement map anyway.
-        """
-        task = asyncio.ensure_future(
-            deliver_notice(
-                self.transport,
-                self.clock,
-                node,
-                kind,
-                {
-                    "transfer_id": transfer.transfer_id,
-                    "object_id": transfer.object_id,
-                },
-                timeout=self.config.request_timeout,
-                budget=self.config.drain_timeout,
-                trace=transfer.trace,
-            )
-        )
-        self._settlements.add(task)
-        task.add_done_callback(self._settlements.discard)
 
     # -- failure detection & restart ------------------------------------------
 
@@ -774,51 +607,22 @@ class NodeSupervisor:
         the dead process and tries again.
         """
         try:
+            self.crashes_seen += 1
+            self.health.down.add(node_id)
+            self._attach_flight(node_id, self.incarnations[node_id], "restart")
+            # PR 4 -> PR 2 seam: reclaim every lock the dead mover held.
+            # Its blocks are barred forever; a zombie's late PLACE is
+            # rejected by the fence.
+            broken, effects = self.arbiter.break_node(node_id)
+            self.leases_broken_total += broken
+            self._dispatch(effects)
             if self.config.arbitration == "home":
-                await self._restart_home(node_id)
-            else:
-                await self._restart_inner(node_id)
+                await self._rehome(node_id)
+            await self._respawn(node_id)
         except (TimeoutError, ConnectionLostError):
             pass
         finally:
             self._restarting.discard(node_id)
-
-    async def _restart_inner(self, node_id: int) -> None:
-        self.crashes_seen += 1
-        self.health.down.add(node_id)
-        self._attach_flight(node_id, self.incarnations[node_id], "restart")
-        # PR 4 -> PR 2 seam: reclaim every lock the dead mover held.
-        # Its blocks are barred forever; a zombie's late PLACE is
-        # rejected by the fence in _serve_place.
-        before_broken = set(self.locks._broken)
-        self.leases_broken_total += self.locks.break_crashed(self.health)
-        newly_broken = sorted(self.locks._broken - before_broken)
-        if newly_broken:
-            self._log(
-                wal_module.BREAK,
-                {"node": node_id, "block_ids": newly_broken},
-            )
-        for transfer in self.transfers.values():
-            if transfer.state != "pending":
-                continue
-            if transfer.dst == node_id:
-                # Destination died mid-pull: restore the source's copy.
-                self._log(
-                    wal_module.ROLLBACK,
-                    {"transfer_id": transfer.transfer_id},
-                )
-                transfer.state = "rolled_back"
-                self._notify(transfer.src, RESTORE, transfer)
-            elif transfer.src == node_id:
-                # Source died holding the held-back copy: the state is
-                # lost; fence the destination out and re-seed on
-                # restart.  Placement never moved, so no duplicate.
-                self._log(
-                    wal_module.FAILED,
-                    {"transfer_id": transfer.transfer_id},
-                )
-                transfer.state = "failed"
-        await self._respawn(node_id)
 
     async def _respawn(self, node_id: int) -> None:
         """Kill remnants, bump the incarnation, spawn, restart workload."""
@@ -851,11 +655,8 @@ class NodeSupervisor:
             await self._start_workload(node_id)
         self.restarts += 1
 
-    async def _restart_home(self, node_id: int) -> None:
-        """Home-mode worker death: break at peers, reassign, respawn."""
-        self.crashes_seen += 1
-        self.health.down.add(node_id)
-        self._attach_flight(node_id, self.incarnations[node_id], "restart")
+    async def _rehome(self, node_id: int) -> None:
+        """Home-mode worker death: break at peers, reassign, resync."""
         live = [
             w
             for w in self.worker_ids
@@ -863,19 +664,10 @@ class NodeSupervisor:
         ]
         # 1. Every surviving home breaks the dead mover's leases and
         #    settles its own transfers that involved the dead node.
-        broken = 0
         for peer in live:
-            try:
-                reply = await self.transport.request(
-                    peer,
-                    BREAK_HOMED,
-                    {"node": node_id},
-                    timeout=self.config.request_timeout,
-                )
-                broken += reply.payload.get("broken", 0)
-            except (TimeoutError, ConnectionLostError):
-                pass  # peer mid-crash: its own restart will re-settle
-        self.leases_broken_total += broken
+            reply = await self._ask(peer, BREAK_HOMED, {"node": node_id})
+            if reply is not None:
+                self.leases_broken_total += reply.payload.get("broken", 0)
         # 2. If the dead node was home for slices, reassign them from
         #    WAL-mirrored ownership reconciled against live inventories.
         dead_slices = sorted(
@@ -887,55 +679,18 @@ class NodeSupervisor:
         #    respawn re-seeds exactly what the fleet says is the dead
         #    node's (placement-wise) and nothing else.
         await self._sync_placement_mirror(live)
-        await self._respawn(node_id)
 
     async def _reassign_slices(
         self, dead: int, dead_slices: List[int], live: List[int]
     ) -> None:
         """Move a dead home's slices to the least-loaded survivor.
 
-        The dead home's transfer table died with it; transfers it
-        granted (ids in its band) are settled from the in-transit
-        tables of the live workers: an in-transit copy whose object is
-        hosted somewhere is evicted, one hosted nowhere is restored.
+        The dead home's transfer table died with it; the copies its
+        transfers left in transit are settled by reconciliation.
         """
-        inventories: Dict[int, Dict[str, Any]] = {}
-        for peer in live:
-            try:
-                reply = await self.transport.request(
-                    peer, INVENTORY, timeout=self.config.request_timeout
-                )
-                inventories[peer] = reply.payload
-            except (TimeoutError, ConnectionLostError):
-                pass
-        hosted: Dict[int, int] = {}
-        for peer, payload in inventories.items():
-            for oid in payload["inventory"]:
-                hosted[int(oid)] = peer
-        # Settle transfers the dead home granted (its id band).
-        instructions: Dict[int, Dict[str, List[int]]] = {}
-        for peer, payload in inventories.items():
-            for tid, oid in payload.get("in_transit_objects", {}).items():
-                if tid // TRANSFER_BAND != dead:
-                    continue  # homed at a live peer: it settles its own
-                plan = instructions.setdefault(
-                    peer, {"evict": [], "restore": []}
-                )
-                if oid in hosted:
-                    plan["evict"].append(tid)
-                else:
-                    plan["restore"].append(tid)
-                    hosted[oid] = peer
-        for peer, plan in instructions.items():
-            try:
-                await self.transport.request(
-                    peer,
-                    SETTLE_HOMED,
-                    plan,
-                    timeout=self.config.request_timeout,
-                )
-            except (TimeoutError, ConnectionLostError):
-                pass
+        inventories = await self._inventories(live, self.config.request_timeout)
+        hosted = _hosted(inventories)
+        await self._reconcile_in_transit(inventories, hosted, band=dead)
         # Reconciled ownership for the orphaned slices: found copies
         # win; unseen objects stay placed at the dead node and are
         # re-seeded when it respawns.
@@ -956,58 +711,31 @@ class NodeSupervisor:
             live,
             key=lambda w: sum(1 for h in self.home.values() if h == w),
         )
-        # Log, then assign: a supervisor crash mid-reassignment replays
-        # into the same (idempotent) assignment.
-        self._log(
-            wal_module.HOME_ASSIGN,
-            {"slices": dead_slices, "node": new_home},
-        )
         for oid, where in sorted(changed.items()):
             self._log(
                 wal_module.PLACE_MIRROR, {"object_id": oid, "node": where}
             )
         self.placement.update(slice_placement)
-        for slice_id in dead_slices:
-            self.home[slice_id] = new_home
         self.home_reassignments += 1
         if self.telemetry.enabled:
             self.telemetry.metrics.counter("home.reassignments").inc()
-        try:
-            await self.transport.request(
-                new_home,
-                HOME_ASSIGN,
-                {"slices": dead_slices, "placement": slice_placement},
-                timeout=self.config.request_timeout,
-            )
-        except (TimeoutError, ConnectionLostError):
-            pass  # new home mid-crash: its restart path reassigns again
+        await self._assign(dead_slices, new_home)
         await self._broadcast_home_map(live)
 
     async def _sync_placement_mirror(self, live: List[int]) -> None:
         """Refresh the mirror from the surviving homes' authority."""
         for peer in live:
-            try:
-                reply = await self.transport.request(
-                    peer, HOME_STATE, timeout=self.config.request_timeout
-                )
-            except (TimeoutError, ConnectionLostError):
-                continue
-            for oid, where in reply.payload["placement"].items():
-                self.placement[int(oid)] = where
-
-    def _home_map_payload(self) -> Dict[str, Any]:
-        return {"map": dict(self.home), "num_slices": self.num_slices}
+            reply = await self._ask(peer, HOME_STATE)
+            if reply is not None:
+                for oid, where in reply.payload["placement"].items():
+                    self.placement[int(oid)] = where
 
     async def _send_home_map(self, node_id: int) -> None:
-        try:
-            await self.transport.request(
-                node_id,
-                HOME_MAP,
-                self._home_map_payload(),
-                timeout=self.config.request_timeout,
-            )
-        except (TimeoutError, ConnectionLostError):
-            pass
+        await self._ask(
+            node_id,
+            HOME_MAP,
+            {"map": dict(self.home), "num_slices": self.num_slices},
+        )
 
     async def _broadcast_home_map(
         self, targets: Optional[List[int]] = None
@@ -1021,28 +749,35 @@ class NodeSupervisor:
 
     async def _assign_homes(self) -> None:
         """Initial partition: slice ``i`` is homed at worker ``i+1``."""
-        for slice_id in range(self.num_slices):
-            node = self.worker_ids[slice_id % len(self.worker_ids)]
-            self.home[slice_id] = node
         for node in self.worker_ids:
-            slices = sorted(
-                s for s, h in self.home.items() if h == node
-            )
-            placement = {
-                oid: where
-                for oid, where in self.placement.items()
-                if oid % self.num_slices in set(slices)
-            }
-            self._log(
-                wal_module.HOME_ASSIGN, {"slices": slices, "node": node}
-            )
-            await self.transport.request(
+            await self._assign(
+                [
+                    s
+                    for s in range(self.num_slices)
+                    if self.worker_ids[s % len(self.worker_ids)] == node
+                ],
                 node,
-                HOME_ASSIGN,
-                {"slices": slices, "placement": placement},
-                timeout=self.config.request_timeout,
             )
         await self._broadcast_home_map()
+
+    async def _assign(self, slices: List[int], node: int) -> None:
+        """Make ``node`` home for ``slices``, with their placements.
+
+        Log, then assign: a supervisor crash mid-assignment replays
+        into the same (idempotent) assignment.  A new home that is
+        mid-crash misses it; its own restart reassigns the slices.
+        """
+        self._log(wal_module.HOME_ASSIGN, {"slices": slices, "node": node})
+        for slice_id in slices:
+            self.home[slice_id] = node
+        placement = {
+            oid: where
+            for oid, where in self.placement.items()
+            if oid % self.num_slices in slices
+        }
+        await self._ask(
+            node, HOME_ASSIGN, {"slices": slices, "placement": placement}
+        )
 
     async def _wait_for_heartbeat(
         self, node_id: int, timeout: float = 10.0
@@ -1100,24 +835,10 @@ class NodeSupervisor:
                     }
                 )
                 await asyncio.sleep(action.duration)
-                await self._broadcast_faults(
-                    {
-                        "drop_rate": 0.0,
-                        "duplicate_rate": 0.0,
-                        "delay_range": (0.0, 0.0),
-                    }
-                )
+                await self._broadcast_faults(HEALED_FAULTS)
 
     async def _send_faults(self, node_id: int, config: Dict) -> None:
-        try:
-            await self.transport.request(
-                node_id,
-                SET_FAULTS,
-                {"config": config},
-                timeout=self.config.request_timeout,
-            )
-        except (TimeoutError, ConnectionLostError):
-            pass  # a worker mid-crash misses the memo; restart re-sends
+        await self._ask(node_id, SET_FAULTS, {"config": config})
 
     async def _broadcast_faults(self, config: Dict) -> None:
         self.faults_active = {**self.faults_active, **config}
@@ -1128,32 +849,23 @@ class NodeSupervisor:
     # -- run ------------------------------------------------------------------
 
     async def _start_workload(self, node_id: int) -> None:
-        try:
-            await self.transport.request(
-                node_id,
-                START,
-                {
-                    "num_objects": self.config.num_objects,
-                    "think_time": self.config.think_time,
-                    "invocations_per_block": self.config.invocations_per_block,
-                },
-                timeout=self.config.request_timeout,
-            )
-        except (TimeoutError, ConnectionLostError):
-            pass  # monitor will flag the silent worker
+        await self._ask(
+            node_id,
+            START,
+            {
+                "num_objects": self.config.num_objects,
+                "think_time": self.config.think_time,
+                "invocations_per_block": self.config.invocations_per_block,
+            },
+        )
 
     async def _poll_migrations(self) -> int:
         total = 0
         for node_id in self.worker_ids:
-            if node_id in self._restarting:
-                continue
-            try:
-                reply = await self.transport.request(
-                    node_id, STATS, timeout=self.config.request_timeout
-                )
-                total += reply.payload["migrations"]
-            except (TimeoutError, ConnectionLostError):
-                pass
+            if node_id not in self._restarting:
+                reply = await self._ask(node_id, STATS)
+                if reply is not None:
+                    total += reply.payload["migrations"]
         return total
 
     # -- cross-process telemetry ----------------------------------------------
@@ -1307,14 +1019,7 @@ class NodeSupervisor:
             self.history.ensure(node_id, now)
         # Chaos state died with the predecessor: heal the data plane
         # so the recovered run is observable (dead workers ignored).
-        await self._broadcast_faults(
-            {
-                "drop_rate": 0.0,
-                "duplicate_rate": 0.0,
-                "delay_range": (0.0, 0.0),
-                "partitions": [],
-            }
-        )
+        await self._broadcast_faults(HEALED_FAULTS)
         waits = await asyncio.gather(
             *(
                 self._wait_for_heartbeat(
@@ -1336,15 +1041,8 @@ class NodeSupervisor:
         await asyncio.sleep(
             min(1.0, self.config.request_timeout)
         )
-        inventories: Dict[int, Dict[str, Any]] = {}
-        for peer in live:
-            try:
-                reply = await self.transport.request(
-                    peer, INVENTORY, timeout=self.config.request_timeout
-                )
-                inventories[peer] = reply.payload
-            except (TimeoutError, ConnectionLostError):
-                dead.append(peer)
+        inventories = await self._inventories(live, self.config.request_timeout)
+        dead += [w for w in live if w not in inventories]
         # Post-mortems first: the predecessor supervisor's flight dump
         # and any dead worker's, so the in-doubt verdicts below can be
         # cross-checked against what those processes last witnessed.
@@ -1360,21 +1058,15 @@ class NodeSupervisor:
         self._cross_check_settlement()
         self._grants_frozen = False
         if self.config.arbitration == "home":
-            await self._broadcast_home_map(
-                [w for w in live if w not in dead]
-            )
+            await self._broadcast_home_map(list(inventories))
         # Workloads survive with the workers; (re)start only the idle
         # (a supervisor killed before START leaves movers parked).
-        for peer in [w for w in live if w not in dead]:
-            try:
-                reply = await self.transport.request(
-                    peer, STATS, timeout=self.config.request_timeout
-                )
-                if reply.payload["attempts"] == 0:
-                    await self._start_workload(peer)
-            except (TimeoutError, ConnectionLostError):
-                if peer not in dead:
-                    dead.append(peer)
+        for peer in inventories:
+            reply = await self._ask(peer, STATS)
+            if reply is None:
+                dead.append(peer)
+            elif reply.payload["attempts"] == 0:
+                await self._start_workload(peer)
         for node_id in dead:
             if node_id not in self._restarting:
                 self._restarting.add(node_id)
@@ -1439,72 +1131,48 @@ class NodeSupervisor:
         plan = self._plan_settlement(inventories)
         self._last_settlement_plan = plan
         for verdict, transfer in plan:
-            if verdict == "rollback":
-                self._log(
-                    wal_module.ROLLBACK,
-                    {"transfer_id": transfer.transfer_id},
-                )
-                transfer.state = "rolled_back"
-                self._notify(transfer.src, RESTORE, transfer)
-                self._release_transfer_block(transfer)
-                self.in_doubt_rolled_back += 1
-            elif verdict == "revert":
-                self._log(
-                    wal_module.REVERT,
-                    {"transfer_id": transfer.transfer_id},
-                )
-                transfer.state = "rolled_back"
-                self.placement[transfer.object_id] = transfer.src
-                self._notify(transfer.src, RESTORE, transfer)
-                self._release_transfer_block(transfer)
-                self.in_doubt_reverted += 1
-            else:  # commit: make sure the source's copy is gone
+            if verdict == "commit":  # make sure the source's copy is gone
                 self._notify(transfer.src, EVICT, transfer)
                 self.in_doubt_committed += 1
-
-    def _release_transfer_block(self, transfer: Transfer) -> None:
-        block = self.blocks.pop(transfer.block_id, None)
-        if block is not None:
-            self._log(wal_module.END, {"block_id": block.block_id})
-            self.locks.release_block(block)
+                continue
+            if verdict == "rollback":
+                _, effects = self.arbiter.rollback(transfer.transfer_id)
+                self.in_doubt_rolled_back += 1
+            else:
+                effects = self.arbiter.revert(transfer.transfer_id)
+                self.in_doubt_reverted += 1
+            self._dispatch(effects)
+            self.arbiter.end(transfer.block_id)
 
     # -- drain & audit --------------------------------------------------------
 
-    async def _settle_transfers(self) -> None:
+    async def _settle_transfers(self) -> int:
         """Resolve every transfer so no held-back copy survives drain.
 
-        Called only after all workloads are quiesced: rolls back every
-        still-pending transfer, then waits for the outstanding
-        settlement notices (the transport's spawned deliver tasks) to
-        land before the inventory snapshot.
+        Called only after all workloads are quiesced: the arbiter rolls
+        back every still-pending transfer and closes the blocks whose
+        END never came (their count is returned); the outstanding
+        settlement notices then get the drain budget to land before
+        the inventory snapshot.
         """
-        for transfer in self.transfers.values():
-            if transfer.state == "pending":
-                self._log(
-                    wal_module.ROLLBACK,
-                    {"transfer_id": transfer.transfer_id},
-                )
-                transfer.state = "rolled_back"
-                self._notify(transfer.src, RESTORE, transfer)
-        deadline = self.clock.deadline(self.config.drain_timeout)
-        while self._settlements and not self.clock.expired(deadline):
-            await asyncio.sleep(0.05)
+        leaked, effects = self.arbiter.settle()
+        self._dispatch(effects)
+        await self._await_notices(self.config.drain_timeout)
+        return leaked
 
     async def _settle_homes(self) -> Tuple[int, List[str]]:
         """Drain-time settlement under home arbitration.
 
-        Each home rolls back its pending transfers, releases leftover
-        blocks and reports its authoritative placements; the union
-        becomes the audit's expected placement.
+        Each home settles its arbiter and reports its authoritative
+        placements, which become the audit's expected placement, and
+        its verdict for every transfer it granted, which reconciliation
+        looks in-transit copies up in.
         """
         leaked = 0
         violations: List[str] = []
         for node_id in self.worker_ids:
-            try:
-                reply = await self.transport.request(
-                    node_id, SETTLE, timeout=self.config.drain_timeout
-                )
-            except (TimeoutError, ConnectionLostError):
+            reply = await self._ask(node_id, SETTLE, timeout=self.config.drain_timeout)
+            if reply is None:
                 violations.append(
                     f"home {node_id} failed to settle before drain"
                 )
@@ -1513,6 +1181,7 @@ class NodeSupervisor:
             violations.extend(reply.payload.get("lock_violations", ()))
             for oid, where in reply.payload["placement"].items():
                 self.placement[int(oid)] = where
+            self._home_verdicts.update(reply.payload.get("verdicts", {}))
         return leaked, violations
 
     async def _drain(self) -> Dict[int, Dict[str, Any]]:
@@ -1531,28 +1200,23 @@ class NodeSupervisor:
         self._in_drain = True
         deadline = self.clock.deadline(self.config.drain_timeout)
 
-        async def quiesce(node_id: int):
-            while True:
-                try:
-                    reply = await self.transport.request(
-                        node_id, DRAIN, timeout=self.config.drain_timeout
-                    )
-                    return node_id, reply.payload
-                except (TimeoutError, ConnectionLostError):
-                    if self.clock.expired(deadline):
-                        raise
-                    await asyncio.sleep(0.2)
+        async def quiesce(node_id: int) -> Optional[Envelope]:
+            timeout = self.config.drain_timeout
+            reply = await self._ask(node_id, DRAIN, timeout=timeout)
+            while reply is None and not self.clock.expired(deadline):
+                await asyncio.sleep(0.2)
+                reply = await self._ask(node_id, DRAIN, timeout=timeout)
+            return reply
 
         results = await asyncio.gather(
             *(quiesce(w) for w in self.worker_ids), return_exceptions=True
         )
-        drained: Dict[int, Dict[str, Any]] = {}
-        stuck: List[int] = []
-        for node_id, outcome in zip(self.worker_ids, results):
-            if isinstance(outcome, BaseException):
-                stuck.append(node_id)
-            else:
-                drained[outcome[0]] = outcome[1]
+        drained = {
+            node_id: reply.payload
+            for node_id, reply in zip(self.worker_ids, results)
+            if isinstance(reply, Envelope)
+        }
+        stuck = [w for w in self.worker_ids if w not in drained]
         if stuck:
             raise DrainTimeoutError(
                 "workers failed to drain",
@@ -1561,53 +1225,46 @@ class NodeSupervisor:
             )
         return drained
 
-    async def _inventories(self) -> Dict[int, Dict[str, Any]]:
-        """Phase 3: race-free inventory snapshot of the quiesced fleet."""
-
-        async def snapshot(node_id: int):
-            reply = await self.transport.request(
-                node_id, INVENTORY, timeout=self.config.drain_timeout
-            )
-            return node_id, reply.payload
-
-        results = await asyncio.gather(
-            *(snapshot(w) for w in self.worker_ids)
-        )
-        return dict(results)
-
     async def _reconcile_in_transit(
-        self, inventories: Dict[int, Dict[str, Any]]
+        self,
+        inventories: Dict[int, Dict[str, Any]],
+        hosted: Optional[Dict[int, int]] = None,
+        band: Optional[int] = None,
     ) -> bool:
         """Re-issue verdict notices for copies still held in transit.
 
         Settlement notices are fire-and-forget and individually
         retried, but the audit must not depend on every one having
-        landed: the supervisor holds the authoritative verdict for
-        every transfer it granted, so any copy a quiesced worker still
-        reports in transit is re-told its outcome *synchronously* —
-        EVICT if the transfer committed, RESTORE otherwise.  Returns
+        landed.  Every in-transit id is looked up in one verdict table
+        (this arbiter's transfers plus every home's SETTLE verdicts)
+        and re-told its outcome *synchronously*: EVICT if the transfer
+        committed, RESTORE otherwise.  An id no table knows was granted
+        by a home that died with its table; :func:`orphan_verdict`
+        settles it against ``hosted`` (object -> node, built from the
+        inventories when None), which records each restore.  Returns
         whether any notice was sent (the caller re-snapshots then).
+
+        Slice reassignment runs it mid-run over one dead home's ``band``
+        of ids only: a live home's transfers may be legitimately in
+        flight, and it settles its own.
         """
+        verdicts = {**self._home_verdicts, **self.arbiter.verdicts()}
+        if hosted is None:
+            hosted = _hosted(inventories)
         sent = False
         for node_id, payload in inventories.items():
-            for tid_key in payload.get("in_transit", ()):
-                transfer = self.transfers.get(int(tid_key))
-                if transfer is None:
-                    continue  # home-granted: its home settles it
-                kind = EVICT if transfer.state == "placed" else RESTORE
-                try:
-                    await self.transport.request(
-                        node_id,
-                        kind,
-                        {
-                            "transfer_id": transfer.transfer_id,
-                            "object_id": transfer.object_id,
-                        },
-                        timeout=self.config.request_timeout,
-                    )
+            for tid_key, oid in payload.get("in_transit_objects", {}).items():
+                tid = int(tid_key)
+                if band is not None and tid // TRANSFER_BAND != band:
+                    continue
+                state = verdicts.get(tid)
+                if state is None:
+                    kind = orphan_verdict(oid, node_id, hosted)
+                else:
+                    kind = EVICT if state == "placed" else RESTORE
+                payload = {"transfer_id": tid, "object_id": oid}
+                if await self._ask(node_id, kind, payload) is not None:
                     sent = True
-                except (TimeoutError, ConnectionLostError):
-                    pass
         return sent
 
     def _audit(self, inventories: Dict[int, Dict[str, Any]]) -> List[str]:
@@ -1714,14 +1371,7 @@ class NodeSupervisor:
         finally:
             chaos.cancel()
         # Quiesce: stop chaos, heal the data plane, settle, drain.
-        await self._broadcast_faults(
-            {
-                "drop_rate": 0.0,
-                "duplicate_rate": 0.0,
-                "delay_range": (0.0, 0.0),
-                "partitions": [],
-            }
-        )
+        await self._broadcast_faults(HEALED_FAULTS)
         drained = await self._drain()
         self._stopping = True
         monitor.cancel()
@@ -1729,17 +1379,17 @@ class NodeSupervisor:
         home_violations: List[str] = []
         if self.config.arbitration == "home":
             leaked_blocks, home_violations = await self._settle_homes()
-        await self._settle_transfers()
-        # Workload is parked: release whatever blocks never saw END
-        # (their END_REQUEST was lost to chaos) and audit.
-        for block in list(self.blocks.values()):
-            leaked_blocks += 1 if self.locks.release_block(block) else 0
-        self.blocks.clear()
-        inventories = await self._inventories()
+        # Workload is parked: settle, closing whatever blocks never saw
+        # END (their END_REQUEST was lost to chaos), and audit.
+        leaked_blocks += await self._settle_transfers()
+        # Phase 3: race-free inventory snapshot of the quiesced fleet.
+        inventories = await self._inventories(timeout=self.config.drain_timeout)
         for _ in range(3):
             if not await self._reconcile_in_transit(inventories):
                 break
-            inventories = await self._inventories()
+            inventories = await self._inventories(
+                timeout=self.config.drain_timeout
+            )
         violations = home_violations + self._audit(inventories)
         report = self._report(drained, violations, leaked_blocks)
         await self._shutdown_workers()

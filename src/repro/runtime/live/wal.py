@@ -219,15 +219,19 @@ class ArbitrationWal:
 
 
 @dataclass
-class TransferLogEntry:
-    """A transfer as the log knows it (mirrors supervisor.Transfer)."""
+class Transfer:
+    """One object transfer, fenced by id: in the arbiter and in the log."""
 
     transfer_id: int
     object_id: int
     src: int
     dst: int
     block_id: int
-    state: str = "pending"
+    state: str = "pending"  # pending | placed | rolled_back | failed
+    #: Telemetry context of the mover's migration-root span, captured
+    #: from the MOVE_REQUEST envelope so EVICT/RESTORE notices join the
+    #: same cross-process trace.  Never journaled.
+    trace: Optional[Tuple[int, int]] = field(default=None, compare=False)
 
 
 @dataclass
@@ -247,7 +251,7 @@ class WalState:
     workers: List[int] = field(default_factory=list)
     #: object id -> hosting node (the recoverable authority).
     placement: Dict[int, int] = field(default_factory=dict)
-    transfers: Dict[int, TransferLogEntry] = field(default_factory=dict)
+    transfers: Dict[int, Transfer] = field(default_factory=dict)
     #: block id -> {"client_node", "object_id"} for open move-blocks.
     blocks: Dict[int, Dict[str, int]] = field(default_factory=dict)
     broken_blocks: List[int] = field(default_factory=list)
@@ -285,7 +289,7 @@ class WalState:
             self.max_block_id = max(self.max_block_id, block_id)
             transfer_id = data.get("transfer_id")
             if transfer_id is not None:
-                self.transfers[transfer_id] = TransferLogEntry(
+                self.transfers[transfer_id] = Transfer(
                     transfer_id=transfer_id,
                     object_id=data["object_id"],
                     src=data["source"],
@@ -331,13 +335,13 @@ class WalState:
         # seq still advances last_seq above.
         return True
 
-    def in_doubt(self) -> List[TransferLogEntry]:
+    def in_doubt(self) -> List[Transfer]:
         """Transfers the log left pending: the recovery worklist."""
         return [
             t for t in self.transfers.values() if t.state == "pending"
         ]
 
-    def placed(self) -> List[TransferLogEntry]:
+    def placed(self) -> List[Transfer]:
         """Transfers whose commit was logged (maybe never delivered)."""
         return [t for t in self.transfers.values() if t.state == "placed"]
 
@@ -378,7 +382,7 @@ __all__ = [
     "ROLLBACK",
     "SUPER_START",
     "TRANSFER_BAND",
-    "TransferLogEntry",
+    "Transfer",
     "WalRecord",
     "WalState",
     "decode_record",

@@ -65,7 +65,6 @@ HOME_MAP = "home.map"  # supervisor -> worker: slice -> home node map
 HOME_STATE = "home.state"  # supervisor <- worker: authoritative placements
 PLACE_NOTICE = "place.notice"  # home -> supervisor: mirror a commit to WAL
 BREAK_HOMED = "break.homed"  # supervisor -> homes: a peer died, break it
-SETTLE_HOMED = "settle.homed"  # supervisor -> worker: evict/restore lists
 SETTLE = "settle"  # supervisor -> homes: drain-time transfer settlement
 
 #: Node id of the supervisor on the live control plane.
@@ -221,7 +220,6 @@ __all__ = [
     "SEED",
     "SET_FAULTS",
     "SETTLE",
-    "SETTLE_HOMED",
     "SHUTDOWN",
     "START",
     "STATS",

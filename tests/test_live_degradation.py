@@ -37,6 +37,9 @@ from repro.runtime.live.wire import (
     HOME_ASSIGN,
     HOME_MAP,
     INVENTORY,
+    MOVE_REQUEST,
+    OBJECT_TRANSFER,
+    RESTORE,
     SUPERVISOR,
     Envelope,
 )
@@ -352,3 +355,113 @@ class TestHomeSettlementNotices:
         audit.placement = dict(workers[0].home_placement)
         assert audit.placement[0] == 1
         assert audit._audit(inventories) == []
+
+
+class _DropRestores(FaultyTransport):
+    """Data-plane filter that loses every RESTORE notice it sees."""
+
+    def plan(self, envelope):
+        if envelope.kind == RESTORE:
+            self.injected_drops += 1
+            return []
+        return super().plan(envelope)
+
+
+class TestDrainReconcilesHomeGrantedTransfers:
+    """Drain must settle a home-granted transfer whose notices are lost.
+
+    Three in-process workers (nodes 1..3) under home arbitration: node
+    1 is home for the only slice.  Node 2 is granted object 0 (hosted
+    at node 3) and pulls it, so node 3 holds the held-back copy, but
+    node 2 never sends PLACE.  At drain the home rolls the transfer
+    back, and every RESTORE it sends is dropped on the wire.  The
+    supervisor's SETTLE, reconciliation and audit must still leave
+    object 0 hosted exactly once, at node 3.
+    """
+
+    PLACEMENT = {0: 3, 1: 1, 2: 2}
+
+    async def scenario(self, tmp_path):
+        nodes = (SUPERVISOR, 1, 2, 3)
+        if unix_supported():
+            peers = {
+                n: ("unix", str(tmp_path / f"n{n + 1}.sock")) for n in nodes
+            }
+        else:  # pragma: no cover - platform without Unix sockets
+            peers = {n: ("tcp", "127.0.0.1", 42200 + n) for n in nodes}
+        workers = {
+            n: LiveNodeWorker(
+                n,
+                peers[n],
+                peers,
+                [
+                    LiveObject(oid).state()
+                    for oid, where in self.PLACEMENT.items()
+                    if where == n
+                ],
+                request_timeout=0.5,
+                arbitration="home",
+                num_slices=1,
+                notice_budget=0.5,
+            )
+            for n in (1, 2, 3)
+        }
+        dropper = _DropRestores(workers[1].transport)
+        control = AsyncioTransport(SUPERVISOR, peers[SUPERVISOR], peers)
+
+        async def acknowledge(envelope):  # PLACE_NOTICE mirrors
+            await control.reply(envelope, {"ok": True})
+
+        control.handler = acknowledge
+        await control.start()
+        for worker in workers.values():
+            worker.transport.handler = worker.handle
+            await worker.transport.start()
+        supervisor = NodeSupervisor(
+            SupervisorConfig(
+                num_nodes=3,
+                num_objects=3,
+                socket_dir=str(tmp_path),
+                arbitration="home",
+                request_timeout=0.5,
+                drain_timeout=2.0,
+            )
+        )
+        supervisor.transport = control
+        try:
+            await control.request(
+                1, HOME_ASSIGN, {"slices": [0], "placement": self.PLACEMENT}
+            )
+            for n in (1, 2, 3):
+                await control.request(
+                    n, HOME_MAP, {"map": {0: 1}, "num_slices": 1}
+                )
+            mover = workers[2].transport
+            grant = await mover.request(1, MOVE_REQUEST, {"object_id": 0})
+            assert grant.payload["granted"] and grant.payload["source"] == 3
+            transfer_id = grant.payload["transfer_id"]
+            await mover.request(
+                3,
+                OBJECT_TRANSFER,
+                {"object_id": 0, "transfer_id": transfer_id},
+            )
+            assert transfer_id in workers[3].in_transit
+            # Drain: SETTLE at every home, then reconcile and audit.
+            leaked, violations = await supervisor._settle_homes()
+            assert dropper.injected_drops >= 1
+            inventories = await supervisor._inventories()
+            for _ in range(3):
+                if not await supervisor._reconcile_in_transit(inventories):
+                    break
+                inventories = await supervisor._inventories()
+            return violations + supervisor._audit(inventories)
+        finally:
+            for worker in workers.values():
+                await worker.transport.close()
+            await control.close()
+
+    def test_lost_restore_is_settled_by_reconciliation(self, tmp_path):
+        violations = asyncio.run(
+            asyncio.wait_for(self.scenario(tmp_path), 30.0)
+        )
+        assert violations == []
